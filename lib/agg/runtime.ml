@@ -42,9 +42,10 @@ type t = {
   registry : (int, Query.t) Hashtbl.t; (* client-side: every register *)
   results : (int, int * float option) Hashtbl.t;
       (* query_id -> (epoch, value) freshest Agg_result delivered *)
-  mutable log : (int * Node_id.t * P.t * float) list;
-      (* raw event log (epoch, producer, point, value) — the oracle's
-         ground truth, newest first *)
+  mutable log : (P.t * float) list;
+      (* the current epoch's raw readings (point, value) — the
+         oracle's ground truth, newest first; reset by every
+         [run_epoch], so history never accumulates *)
   mutable readings : (Node_id.t * P.t * float) list;
       (* injected since the last epoch, newest first *)
   mutable epoch : int;
@@ -238,11 +239,12 @@ let run_epoch t =
   t.epoch <- t.epoch + 1;
   Tele.begin_agg_epoch (tele t) ~epoch:t.epoch;
   (* Fold the readings injected since the last epoch into the leaves
-     (and the ground-truth log). *)
+     (and the ground-truth log, which keeps this epoch only). *)
+  t.log <- [];
   List.iter
     (fun (id, p, v) ->
       if O.is_alive t.ov id then begin
-        t.log <- (t.epoch, id, p, v) :: t.log;
+        t.log <- (p, v) :: t.log;
         let ns = node_state t id in
         Hashtbl.iter
           (fun qid q ->
@@ -398,14 +400,17 @@ let result t qid = Hashtbl.find_opt t.results qid
 (* {2 Brute-force oracle} *)
 
 let oracle t ~epoch qid =
+  if epoch <> t.epoch then
+    invalid_arg
+      (Printf.sprintf "Agg.Runtime.oracle: epoch %d is not the current %d"
+         epoch t.epoch);
   match Hashtbl.find_opt t.registry qid with
   | None -> None
   | Some q ->
       let acc =
         List.fold_left
-          (fun acc (e, _who, p, v) ->
-            if e = epoch && Query.matches q p then
-              Aggregate.merge acc (Aggregate.of_value v)
+          (fun acc (p, v) ->
+            if Query.matches q p then Aggregate.merge acc (Aggregate.of_value v)
             else acc)
           Aggregate.identity t.log
       in
@@ -482,7 +487,9 @@ let repair t =
   (* Merge-plane reconciliation (DESIGN.md §15), forest only: purge
      cached cross-shard partials from any process that is not the
      query's current merge owner (a root election moved the role, or
-     the coverage key is nonsense), and drop suppression references
+     the coverage key is nonsense) or whose shard has no root left
+     (nobody remains to re-announce, so the cache would replay departed
+     producers' readings forever), and drop suppression references
      whose owner root changed or whose partial the owner no longer
      caches — the next epoch re-announces the full partial instead of
      silently under- or double-counting. *)
@@ -507,6 +514,7 @@ let repair t =
                          && (match Hashtbl.find_opt t.registry qid with
                             | Some q -> List.mem sh (coverage t q)
                             | None -> false)
+                         && Access.designated_root_in t.net sh <> None
                      | None -> false
                    in
                    if keep then acc else key :: acc)

@@ -38,8 +38,8 @@
     dropped when the owner root changed or no longer caches the
     recorded partial, so the next epoch re-announces instead of under-
     or double-counting. Correctness under churn and loss is judged
-    against {!oracle}, a brute-force recomputation from the raw
-    reading log. *)
+    against {!oracle}, a brute-force recomputation from the current
+    epoch's raw readings. *)
 
 type t
 
@@ -90,8 +90,11 @@ val result : t -> int -> (int * float option) option
 
 val oracle : t -> epoch:int -> int -> float option option
 (** Ground truth: the aggregate recomputed by brute force over the raw
-    reading log of [epoch]. [None] if the query id is unknown,
-    [Some v] with [v] shaped like a result value otherwise. *)
+    readings of [epoch], which must be the current one ({!epoch}): the
+    runtime keeps only the last epoch's readings. [None] if the query
+    id is unknown, [Some v] with [v] shaped like a result value
+    otherwise.
+    @raise Invalid_argument if [epoch <> epoch t]. *)
 
 val repair : t -> unit
 (** The Agg_repair pass (normally invoked by the overlay's

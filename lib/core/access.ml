@@ -43,6 +43,11 @@ type net = {
          Entries are re-verified on read; silent corruption can leave
          the cache stale, so full-sweep rounds rescan and an empty
          verified set falls back to a full rescan of the shard. *)
+  mutable filters : Node_id.t Rtree.Tree.t;
+      (* the ground-truth filter index behind {!filter_candidates}:
+         the filter of every process spawned below the [indexed]
+         watermark, alive or crashed *)
+  mutable indexed : int;
   mutable scan_cursor : int;
       (* round-robin position of the incremental scheduler's background
          scan lane over the sorted live-id list *)
@@ -107,6 +112,8 @@ let create ?(cfg = Config.default) ?transport ?drop_rate
       rdv;
       claimants =
         Array.init (Rendezvous.shards rdv) (fun _ -> Node_id.Table.create 8);
+      filters = Rtree.Tree.create Rtree.Tree.default_config;
+      indexed = 0;
       scan_cursor = 0;
       last_join_hops = 0;
       executor = None;
@@ -199,6 +206,36 @@ let iter_all_ids net f =
         !acc
   in
   List.iter f (List.sort Node_id.compare ids)
+
+(* {2 The ground-truth filter index}
+
+   Publish accounting needs the exact set of live processes whose
+   filter contains the event. The index answers the containment half:
+   it holds the filter of every spawned process and is caught up from
+   the [indexed] watermark over the engine's dense spawn range (the
+   range {!Engine.alive_nodes} enumerates) at each query — one STR
+   bulk load when the backlog is at least the indexed size (a fresh
+   build), single inserts otherwise (a trickle of joins). Liveness is
+   the caller's per-candidate test, so no departure, crash, conviction
+   or rejoin path needs a hook: a filter never changes and a state is
+   never dropped, so an insert-only index stays complete. *)
+let filter_candidates net point =
+  let spawned = Engine.spawned_count net.engine in
+  if net.indexed < spawned then begin
+    let fresh = ref [] in
+    for id = spawned - 1 downto net.indexed do
+      match state net id with
+      | Some s -> fresh := (State.filter s, id) :: !fresh
+      | None -> ()
+    done;
+    if spawned - net.indexed >= Rtree.Tree.size net.filters then
+      net.filters <-
+        Rtree.Tree.bulk_load Rtree.Tree.default_config
+          (List.rev_append (Rtree.Tree.entries net.filters) !fresh)
+    else List.iter (fun (r, id) -> Rtree.Tree.insert net.filters r id) !fresh;
+    net.indexed <- spawned
+  end;
+  Rtree.Tree.search_point net.filters point
 
 (* {2 Dirty marking and the root-claimant cache}
 

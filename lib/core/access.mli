@@ -32,6 +32,8 @@ type net = {
   pool : Sim.Pool.t option;
   rdv : Rendezvous.t;
   claimants : unit Sim.Node_id.Table.t array;
+  mutable filters : Sim.Node_id.t Rtree.Tree.t;
+  mutable indexed : int;
   mutable scan_cursor : int;
   mutable last_join_hops : int;
   mutable executor : Sim.Node_id.t option;
@@ -103,6 +105,15 @@ val iter_all_ids : net -> (Sim.Node_id.t -> unit) -> unit
     are announced by the join protocol, so knowing who joined is fair
     game; knowing who {e died} is what the detector must infer
     (DESIGN.md §13). *)
+
+val filter_candidates : net -> Geometry.Point.t -> Sim.Node_id.t list
+(** Every spawned process — alive or crashed — whose filter contains
+    the point, in no particular order: the containment half of publish
+    ground truth. Liveness is left to the caller ({!read} per
+    candidate). Served from an R-tree over every spawned filter that
+    is caught up lazily here, from a watermark over the engine's spawn
+    range; it needs no membership hooks because filters are constant
+    and the store never drops a state (DESIGN.md §4). *)
 
 (** {2 Dirty marking}
 

@@ -88,6 +88,9 @@ let publish (net : Access.net) ~run ~from point =
   if not (Access.is_alive net from) then
     invalid_arg "Overlay.publish: dead publisher";
   let event_id = Telemetry.fresh_event_id net.Access.tele in
+  (* Ground truth: the live processes whose filter contains the point.
+     The index narrows the scan to containing filters; the test itself
+     is the exhaustive one, applied per candidate. *)
   let matched =
     List.fold_left
       (fun acc id ->
@@ -95,7 +98,7 @@ let publish (net : Access.net) ~run ~from point =
         | Some s when Rect.contains_point (State.filter s) point ->
             Node_id.Set.add id acc
         | Some _ | None -> acc)
-      Node_id.Set.empty (Access.alive_ids net)
+      Node_id.Set.empty (Access.filter_candidates net point)
   in
   let rec_ =
     Telemetry.register_event net.Access.tele ~event_id ~matched ~origin:from
@@ -140,6 +143,9 @@ let publish (net : Access.net) ~run ~from point =
   let missed =
     Node_id.Set.diff rec_.Telemetry.matched rec_.Telemetry.delivered
   in
+  (* The record lives for this call only: a Publish still in flight
+     after [run] finds no record and is forwarded without accounting. *)
+  Telemetry.forget_event net.Access.tele event_id;
   {
     event_id;
     matched = rec_.Telemetry.matched;

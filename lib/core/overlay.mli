@@ -128,8 +128,11 @@ val rendezvous : t -> Rendezvous.t
 type publish_report = {
   event_id : int;
   matched : Sim.Node_id.Set.t;
-      (** subscribers whose filter contains the event (ground truth by
-          exhaustive matching) *)
+      (** live subscribers whose filter contains the event — ground
+          truth, exact: the filter index's containing candidates
+          ({!Access.filter_candidates}), each re-tested for liveness and
+          containment. The delivery record behind this report lives
+          for the one {!publish} call only. *)
   delivered : Sim.Node_id.Set.t;
       (** subscribers that received the event and match it *)
   received : Sim.Node_id.Set.t;  (** every process the event touched *)

@@ -322,6 +322,7 @@ let register_event t ~event_id ~matched ~origin =
   rec_
 
 let event t event_id = Hashtbl.find_opt t.events event_id
+let forget_event t event_id = Hashtbl.remove t.events event_id
 
 (* {2 Pretty-printing} *)
 

@@ -222,7 +222,16 @@ val fp_entries : t -> ((Sim.Node_id.t * int) * fp_counter) list
 
 val reset_fp : t -> unit
 
-(** {2 Event delivery records} *)
+(** {2 Event delivery records}
+
+    One record per event, alive for a single {!Dissemination.publish}
+    call: registered with the ground-truth matched set — answered by
+    {!Access.filter_candidates} plus a per-candidate liveness and
+    containment test — filled in by the [Publish] handlers while the
+    call drains the engine, and forgotten before the call returns. A
+    [Publish] still in flight afterwards finds no record and is only
+    forwarded, so history stays bounded however many events are
+    published. *)
 
 type event_record = {
   matched : Sim.Node_id.Set.t;
@@ -244,6 +253,9 @@ val register_event :
   event_record
 
 val event : t -> int -> event_record option
+
+val forget_event : t -> int -> unit
+(** Drop an event's record (no-op when absent). *)
 
 (** {2 Pretty-printing} *)
 

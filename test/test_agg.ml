@@ -228,6 +228,35 @@ let test_empty_match_set () =
   | _ -> Alcotest.fail "MIN over empty match set must be None");
   Rt.detach rt
 
+(* The oracle keeps one epoch of readings: a second epoch's COUNT sees
+   only its own readings, and asking for any other epoch is an error
+   rather than a silently empty (identity) answer. *)
+let test_oracle_current_epoch_only () =
+  let ov = build ~seed:45 24 in
+  let rt = Rt.attach ov in
+  let owner = List.hd (O.alive_ids ov) in
+  let count = Rt.register rt ~owner ~rect:full A.Count in
+  let n = float_of_int (List.length (O.alive_ids ov)) in
+  emit rt ~seed:451;
+  emit rt ~seed:452;
+  Rt.run_epoch rt;
+  check_bool "epoch 1 counts both emissions" true
+    (Rt.oracle rt ~epoch:1 count = Some (Some (2.0 *. n)));
+  emit rt ~seed:453;
+  Rt.run_epoch rt;
+  check_bool "epoch 2 counts its own emission" true
+    (Rt.oracle rt ~epoch:2 count = Some (Some n));
+  List.iter
+    (fun e ->
+      check_bool
+        (Printf.sprintf "epoch %d rejected" e)
+        true
+        (match Rt.oracle rt ~epoch:e count with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    [ 0; 1; 3 ];
+  Rt.detach rt
+
 (* --- Suppression --------------------------------------------------------------- *)
 
 let test_suppression_static_signal () =
@@ -466,6 +495,38 @@ let test_merge_reannounce_after_owner_crash () =
     (Tele.agg_merges tele > m1);
   Rt.detach rt
 
+let test_merge_purged_when_peer_shard_empties () =
+  (* Three processes on a four-shard forest, each alone on its shard.
+     The query's only matching producer leaves, emptying its covered
+     shard: no root is left there to re-announce, so the merge owner
+     must drop the shard's cached partial instead of folding the
+     departed producer's last reading into every later epoch. *)
+  let cfg =
+    Drtree.Config.make ~forest:(Drtree.Config.Sharded { shards = 4 }) ()
+  in
+  let ov = O.create ~cfg ~seed:3 () in
+  let a = O.join ov (rect 84.0 66.0 93.0 75.0) in
+  let b = O.join ov (rect 23.0 51.0 32.0 53.0) in
+  let c = O.join ov (rect 14.0 38.0 20.0 42.0) in
+  check_int "three distinct shards" 3
+    (List.length (List.sort_uniq compare (List.map (O.shard_of ov) [ a; b; c ])));
+  let rt = Rt.attach ov in
+  let qid = Rt.register rt ~owner:a ~rect:(rect 20.0 45.0 30.0 55.0) A.Max in
+  emit rt ~seed:491;
+  Rt.run_epoch rt;
+  alco_exact rt qid;
+  O.leave ov b;
+  (match O.stabilize ~max_rounds:100 ~legal:Inv.is_legal ov with
+  | Some _ -> ()
+  | None -> Alcotest.fail "did not re-stabilize");
+  Rt.repair rt;
+  emit rt ~seed:492;
+  Rt.run_epoch rt;
+  alco_exact rt qid;
+  check_bool "MAX over no producer is None" true
+    (Rt.result rt qid = Some (Rt.epoch rt, None));
+  Rt.detach rt
+
 (* --- Differential: tct=0 exactness survives churn + corruption ------------------ *)
 
 let churn_exactness =
@@ -530,6 +591,8 @@ let () =
           Alcotest.test_case "all five functions vs oracle" `Quick
             test_exact_all_fns;
           Alcotest.test_case "empty match set" `Quick test_empty_match_set;
+          Alcotest.test_case "oracle answers the current epoch only" `Quick
+            test_oracle_current_epoch_only;
         ] );
       ( "suppression",
         [
@@ -553,6 +616,8 @@ let () =
             test_sharded_exact_all_fns;
           Alcotest.test_case "re-announce after owner root election" `Quick
             test_merge_reannounce_after_owner_crash;
+          Alcotest.test_case "merge cache purged when a peer shard empties"
+            `Quick test_merge_purged_when_peer_shard_empties;
         ] );
       ( "differential",
         [ QCheck_alcotest.to_alcotest churn_exactness ] );
