@@ -125,11 +125,12 @@ let create ?(cfg = Config.default) ?transport ?drop_rate
     }
   in
   (* Per-message-kind traffic accounting: the engine is polymorphic in
-     the message type, so the tag-keyed byte counters live here. *)
+     the message type, so the kind-indexed byte counters live here. *)
   Engine.set_meter net.engine
     (Some
        (fun dir msg bytes ->
-         Telemetry.record_traffic net.tele dir ~kind:(Message.tag msg) ~bytes));
+         Telemetry.record_traffic net.tele dir ~code:(Message.kind_code msg)
+           ~bytes));
   net
 
 let is_alive net id = Engine.is_alive net.engine id
@@ -189,23 +190,6 @@ let alive_ids net =
   List.filter (fun id -> state net id <> None) (Engine.alive_nodes net.engine)
 
 let size net = List.length (alive_ids net)
-
-(* Every id ever spawned, alive or crashed, in id order — the
-   membership log (neither layout ever releases an entry). The failure
-   detector seeds its ring registry here: joins are announced by the
-   join protocol, crashes are not, so knowing who {e joined} is fair
-   game while knowing who {e died} is exactly what the detector must
-   infer (DESIGN.md §13). *)
-let iter_all_ids net f =
-  let ids =
-    match net.states with
-    | S_hashed tbl -> Node_id.Table.fold (fun id _ acc -> id :: acc) tbl []
-    | S_flat fl ->
-        let acc = ref [] in
-        Intern.iter fl.intern (fun id _ -> acc := id :: !acc);
-        !acc
-  in
-  List.iter f (List.sort Node_id.compare ids)
 
 (* {2 The ground-truth filter index}
 

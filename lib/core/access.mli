@@ -98,14 +98,6 @@ val alive_ids : net -> Sim.Node_id.t list
 val size : net -> int
 val iter_states : net -> (Sim.Node_id.t -> State.t -> unit) -> unit
 
-val iter_all_ids : net -> (Sim.Node_id.t -> unit) -> unit
-(** Every id ever spawned — alive or crashed — in id order: the
-    membership log (neither store layout releases entries). The
-    failure detector ([lib/fd]) seeds its ring registry from it: joins
-    are announced by the join protocol, so knowing who joined is fair
-    game; knowing who {e died} is what the detector must infer
-    (DESIGN.md §13). *)
-
 val filter_candidates : net -> Geometry.Point.t -> Sim.Node_id.t list
 (** Every spawned process — alive or crashed — whose filter contains
     the point, in no particular order: the containment half of publish

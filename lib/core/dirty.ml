@@ -19,9 +19,14 @@ module Node_id = Sim.Node_id
 let height_bits = 20
 let height_stride = 1 lsl height_bits
 
-type t = { table : (int, unit) Hashtbl.t }
+(* Int-specialised, so keys compare without the polymorphic compare.
+   Not [Node_id.Table]: its identity hash would bucket packed keys by
+   their low (height) bits alone, while [Int.hash] mixes every bit. *)
+module Table = Hashtbl.Make (Int)
 
-let create () = { table = Hashtbl.create 64 }
+type t = { table : unit Table.t }
+
+let create () = { table = Table.create 64 }
 let pack p h = (p * height_stride) + h
 
 (* Floor (not truncating) division, so pack/unpack stays a bijection
@@ -39,20 +44,20 @@ let unpack key =
    [Corrupt] only writes heights up to [top]); the guard keeps the
    packing total anyway. *)
 let mark t p h =
-  if h >= 0 && h < height_stride then Hashtbl.replace t.table (pack p h) ()
+  if h >= 0 && h < height_stride then Table.replace t.table (pack p h) ()
 
 let mem t p h =
-  h >= 0 && h < height_stride && Hashtbl.mem t.table (pack p h)
+  h >= 0 && h < height_stride && Table.mem t.table (pack p h)
 
-let is_empty t = Hashtbl.length t.table = 0
-let cardinal t = Hashtbl.length t.table
-let clear t = Hashtbl.reset t.table
+let is_empty t = Table.length t.table = 0
+let cardinal t = Table.length t.table
+let clear t = Table.reset t.table
 
 (* Deterministic order: every run is a pure function of its seeds, so
    the scheduler must visit entries in a stable order, not hashtable
    order. Packed keys sort exactly like the (id, height) pairs. *)
 let entries t =
-  Hashtbl.fold (fun key () acc -> key :: acc) t.table []
+  Table.fold (fun key () acc -> key :: acc) t.table []
   |> List.sort Int.compare |> List.map unpack
 
 let drain t =

@@ -96,26 +96,39 @@ type t =
   | Heartbeat of { from : Node_id.t; seq : int }
   | Suspect of { suspect : Node_id.t; by : Node_id.t; seq : int }
 
-let tag = function
-  | Query _ -> "QUERY"
-  | Report _ -> "REPORT"
-  | Join _ -> "JOIN"
-  | Add_child _ -> "ADD_CHILD"
-  | Leave _ -> "LEAVE"
-  | Check_mbr _ -> "CHECK_MBR"
-  | Check_parent _ -> "CHECK_PARENT"
-  | Check_children _ -> "CHECK_CHILDREN"
-  | Check_cover _ -> "CHECK_COVER"
-  | Check_structure _ -> "CHECK_STRUCTURE"
-  | Cover_sweep _ -> "COVER_SWEEP"
-  | Initiate_new_connection _ -> "INITIATE_NEW_CONNECTION"
-  | Publish _ -> "PUBLISH"
-  | Agg_subscribe _ -> "AGG_SUBSCRIBE"
-  | Agg_partial _ -> "AGG_PARTIAL"
-  | Agg_result _ -> "AGG_RESULT"
-  | Agg_merge _ -> "AGG_MERGE"
-  | Heartbeat _ -> "HEARTBEAT"
-  | Suspect _ -> "SUSPECT"
+(* The kind code of a message is its wire tag byte: the codec writes
+   it ahead of every payload, and the per-kind traffic counters
+   ({!Telemetry}) are indexed by it. *)
+let kind_code = function
+  | Query _ -> 0
+  | Report _ -> 1
+  | Join _ -> 2
+  | Add_child _ -> 3
+  | Leave _ -> 4
+  | Check_mbr _ -> 5
+  | Check_parent _ -> 6
+  | Check_children _ -> 7
+  | Check_cover _ -> 8
+  | Check_structure _ -> 9
+  | Cover_sweep _ -> 10
+  | Initiate_new_connection _ -> 11
+  | Publish _ -> 12
+  | Agg_subscribe _ -> 13
+  | Agg_partial _ -> 14
+  | Agg_result _ -> 15
+  | Heartbeat _ -> 16
+  | Suspect _ -> 17
+  | Agg_merge _ -> 18
+
+let kind_names =
+  [| "QUERY"; "REPORT"; "JOIN"; "ADD_CHILD"; "LEAVE"; "CHECK_MBR";
+     "CHECK_PARENT"; "CHECK_CHILDREN"; "CHECK_COVER"; "CHECK_STRUCTURE";
+     "COVER_SWEEP"; "INITIATE_NEW_CONNECTION"; "PUBLISH"; "AGG_SUBSCRIBE";
+     "AGG_PARTIAL"; "AGG_RESULT"; "HEARTBEAT"; "SUSPECT"; "AGG_MERGE" |]
+
+let kind_count = Array.length kind_names
+let kind_name code = kind_names.(code)
+let tag m = kind_name (kind_code m)
 
 (* {2 Wire codec}
 
@@ -371,15 +384,10 @@ module Codec = struct
     let q_owner = read_id s pos in
     { query_id; q_rect; q_fn; q_tct; q_owner }
 
-  let add_body b = function
-    | Query { asker } ->
-        put_char b '\000';
-        add_id b asker
-    | Report { snapshot } ->
-        put_char b '\001';
-        add_snapshot b snapshot
+  let add_payload b = function
+    | Query { asker } -> add_id b asker
+    | Report { snapshot } -> add_snapshot b snapshot
     | Join { joiner; mbr; height; phase; hops } ->
-        put_char b '\002';
         add_id b joiner;
         add_rect b mbr;
         add_varint b height;
@@ -390,38 +398,17 @@ module Codec = struct
             add_varint b at);
         add_varint b hops
     | Add_child { child; mbr; height; hops } ->
-        put_char b '\003';
         add_id b child;
         add_rect b mbr;
         add_varint b height;
         add_varint b hops
     | Leave { who; height } ->
-        put_char b '\004';
         add_id b who;
         add_varint b height
-    | Check_mbr h ->
-        put_char b '\005';
-        add_varint b h
-    | Check_parent h ->
-        put_char b '\006';
-        add_varint b h
-    | Check_children h ->
-        put_char b '\007';
-        add_varint b h
-    | Check_cover h ->
-        put_char b '\008';
-        add_varint b h
-    | Check_structure h ->
-        put_char b '\009';
-        add_varint b h
-    | Cover_sweep h ->
-        put_char b '\010';
-        add_varint b h
-    | Initiate_new_connection h ->
-        put_char b '\011';
+    | Check_mbr h | Check_parent h | Check_children h | Check_cover h
+    | Check_structure h | Cover_sweep h | Initiate_new_connection h ->
         add_varint b h
     | Publish { event_id; point; at; from_child; going_up; hops } ->
-        put_char b '\012';
         add_varint b event_id;
         add_point b point;
         add_varint b at;
@@ -429,18 +416,15 @@ module Codec = struct
         add_bool b going_up;
         add_varint b hops
     | Agg_subscribe { query; hops } ->
-        put_char b '\013';
         add_query b query;
         add_varint b hops
     | Agg_partial { query_id; epoch; child; at; partial } ->
-        put_char b '\014';
         add_varint b query_id;
         add_varint b epoch;
         add_id b child;
         add_varint b at;
         add_partial b partial
     | Agg_result { query_id; epoch; value } ->
-        put_char b '\015';
         add_varint b query_id;
         add_varint b epoch;
         (match value with
@@ -449,17 +433,14 @@ module Codec = struct
             add_bool b true;
             add_float b v)
     | Agg_merge { query_id; epoch; shard; partial } ->
-        put_char b '\018';
         add_varint b query_id;
         add_varint b epoch;
         add_varint b shard;
         add_partial b partial
     | Heartbeat { from; seq } ->
-        put_char b '\016';
         add_id b from;
         add_varint b seq
     | Suspect { suspect; by; seq } ->
-        put_char b '\017';
         add_id b suspect;
         add_id b by;
         add_varint b seq
@@ -542,7 +523,8 @@ module Codec = struct
     w.len <- 0;
     ensure w 4;
     w.len <- 4 (* length-prefix placeholder, patched below *);
-    add_body w msg;
+    put_char w (Char.unsafe_chr (kind_code msg));
+    add_payload w msg;
     Bytes.set_int32_be w.buf 0 (Int32.of_int (w.len - 4));
     Bytes.sub_string w.buf 0 w.len
 

@@ -147,7 +147,20 @@ type t =
 
 val pp : Format.formatter -> t -> unit
 val tag : t -> string
-(** Constructor name, for tracing and per-kind counters. *)
+(** Constructor name, for tracing and per-kind reports:
+    [kind_name (kind_code m)]. *)
+
+val kind_code : t -> int
+(** The constructor's wire tag byte (the byte {!Codec} writes after
+    the length prefix), in [0, kind_count): the index of the per-kind
+    traffic counters. *)
+
+val kind_count : int
+(** Number of message kinds. *)
+
+val kind_name : int -> string
+(** Constructor name of a kind code.
+    @raise Invalid_argument outside [0, kind_count). *)
 
 (** Binary wire codec: length-prefixed frames for every message
     variant (including the [Agg_*] payloads), the serialization the

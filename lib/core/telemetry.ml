@@ -70,9 +70,9 @@ type t = {
   mutable rounds : round_report list; (* newest first *)
   mutable round_count : int;
   mutable round_mark : (int * int * int * int array * int * int) option;
-  traffic : (string, traffic) Hashtbl.t;
-      (* message kind (Message.tag) -> wire traffic, fed by the
-         engine's meter hook *)
+  traffic : int array;
+      (* wire traffic, fed by the engine's meter hook: four counters
+         per message kind, at [4 * Message.kind_code] *)
   fp : (Node_id.t * int, fp_counter) Hashtbl.t;
   events : (int, event_record) Hashtbl.t;
   mutable next_event : int;
@@ -105,7 +105,7 @@ let create () =
     rounds = [];
     round_count = 0;
     round_mark = None;
-    traffic = Hashtbl.create 16;
+    traffic = Array.make (4 * Message.kind_count) 0;
     fp = Hashtbl.create 64;
     events = Hashtbl.create 64;
     next_event = 0;
@@ -148,36 +148,36 @@ let execs t = t.execs
 
 (* {2 Per-kind wire traffic} *)
 
-let traffic_counter t kind =
-  match Hashtbl.find_opt t.traffic kind with
-  | Some c -> c
-  | None ->
-      let c = { sent_msgs = 0; sent_bytes = 0; recv_msgs = 0; recv_bytes = 0 } in
-      Hashtbl.replace t.traffic kind c;
-      c
+(* Kind [code]'s counters sit at [4 * code]: sent messages, sent
+   bytes, received messages, received bytes. *)
+let record_traffic t dir ~code ~bytes =
+  let i = match dir with `Sent -> 4 * code | `Received -> (4 * code) + 2 in
+  t.traffic.(i) <- t.traffic.(i) + 1;
+  t.traffic.(i + 1) <- t.traffic.(i + 1) + bytes
 
-let record_traffic t dir ~kind ~bytes =
-  let c = traffic_counter t kind in
-  match dir with
-  | `Sent ->
-      c.sent_msgs <- c.sent_msgs + 1;
-      c.sent_bytes <- c.sent_bytes + bytes
-  | `Received ->
-      c.recv_msgs <- c.recv_msgs + 1;
-      c.recv_bytes <- c.recv_bytes + bytes
+let traffic_at t code =
+  let i = 4 * code in
+  { sent_msgs = t.traffic.(i); sent_bytes = t.traffic.(i + 1);
+    recv_msgs = t.traffic.(i + 2); recv_bytes = t.traffic.(i + 3) }
 
 let traffic_of t kind =
-  match Hashtbl.find_opt t.traffic kind with
-  | Some c -> { c with sent_msgs = c.sent_msgs } (* defensive copy *)
-  | None -> { sent_msgs = 0; sent_bytes = 0; recv_msgs = 0; recv_bytes = 0 }
+  let rec find code =
+    if code >= Message.kind_count then
+      { sent_msgs = 0; sent_bytes = 0; recv_msgs = 0; recv_bytes = 0 }
+    else if String.equal (Message.kind_name code) kind then traffic_at t code
+    else find (code + 1)
+  in
+  find 0
 
-(* Deterministic (kind-sorted) order, like fp_entries. *)
+(* The kinds that carried a message, in deterministic (kind-sorted)
+   order, like fp_entries. *)
 let traffic_entries t =
-  Hashtbl.fold (fun kind c acc -> (kind, { c with sent_msgs = c.sent_msgs }) :: acc)
-    t.traffic []
+  List.init Message.kind_count (fun code ->
+      (Message.kind_name code, traffic_at t code))
+  |> List.filter (fun (_, c) -> c.sent_msgs + c.recv_msgs > 0)
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let reset_traffic t = Hashtbl.reset t.traffic
+let reset_traffic t = Array.fill t.traffic 0 (Array.length t.traffic) 0
 
 (* {2 Round reports} *)
 

@@ -52,7 +52,8 @@ val total_repairs : t -> int
 (** {2 Per-kind wire traffic}
 
     Byte-accurate accounting next to the message counts: one counter
-    per message kind ({!Message.tag}), fed by the engine's meter hook
+    per message kind, indexed by {!Message.kind_code} and reported
+    under {!Message.tag}'s name, fed by the engine's meter hook
     (installed by [Access.create]) on every inter-process send and
     every successfully decoded delivery. Under the [Inproc] transport
     messages carry no frames, so the byte fields stay [0] while the
@@ -66,14 +67,17 @@ type traffic = {
 }
 
 val record_traffic :
-  t -> [ `Sent | `Received ] -> kind:string -> bytes:int -> unit
+  t -> [ `Sent | `Received ] -> code:int -> bytes:int -> unit
+(** Count one message of kind [code] ({!Message.kind_code}). *)
 
 val traffic_of : t -> string -> traffic
-(** Snapshot of one kind's counters (zeros if never seen). *)
+(** Snapshot of one kind's counters, by {!Message.tag} name (zeros if
+    never seen). *)
 
 val traffic_entries : t -> (string * traffic) list
-(** All kinds seen so far, as snapshots in deterministic
-    (kind-sorted) order. *)
+(** Every kind that carried a message since creation or the last
+    {!reset_traffic}, as snapshots in deterministic (kind-sorted)
+    order. *)
 
 val reset_traffic : t -> unit
 

@@ -28,10 +28,10 @@ module Node_id = Sim.Node_id
    verdicts it produces only queue repair work, and repairs of live
    state are no-ops plus a fallback-contact rejoin. *)
 type monitor = {
-  last : (Node_id.t, float) Hashtbl.t;
+  last : float Node_id.Table.t;
       (* target -> time of this monitor's last evidence of life (a
          HEARTBEAT or SUSPECT from it; first-expectation grace) *)
-  suspected : (Node_id.t, float) Hashtbl.t;
+  suspected : float Node_id.Table.t;
       (* target -> time the suspicion was raised *)
 }
 
@@ -50,10 +50,14 @@ type t = {
          silently crashed process keeps its ring monitors until one of
          them convicts it, and a falsely convicted live process
          re-enters on its next sign of life *)
-  mutable registry : Node_id.t array; (* [members], sorted, per wave *)
+  mutable registered : int;
+      (* the membership-log watermark: every id below it that has a
+         state was offered to [members] once (see [catch_up]) *)
+  mutable members_changed : bool; (* since [registry] was last sorted *)
+  mutable registry : Node_id.t array; (* [members], sorted *)
   mutable next_wave : float;
   mutable seq : int; (* wave counter, carried by HEARTBEAT/SUSPECT *)
-  confirmed : (Node_id.t, float) Hashtbl.t;
+  confirmed : float Node_id.Table.t;
       (* target -> time of the first confirmed-dead verdict *)
 }
 
@@ -65,24 +69,48 @@ let monitor_of t p =
   match Node_id.Table.find_opt t.monitors p with
   | Some m -> m
   | None ->
-      let m = { last = Hashtbl.create 8; suspected = Hashtbl.create 4 } in
+      let m =
+        { last = Node_id.Table.create 8; suspected = Node_id.Table.create 4 }
+      in
       Node_id.Table.replace t.monitors p m;
       m
 
-(* A convicted process stays out of the registry — without the guard
-   the membership-log seeding would re-admit every corpse at the next
-   wave and the ring would convict it over and over. Fresh evidence of
-   life ({!observe}) lifts the conviction first, so a falsely killed
-   live process does re-enter. *)
+(* A convicted process stays out of the registry, else the ring would
+   convict it over and over (an id can even be convicted before it is
+   spawned: corruption writes arbitrary ids into tree links). Fresh
+   evidence of life ({!observe}) lifts the conviction first, so a
+   falsely killed live process does re-enter. [members_changed] tells
+   the next wave to re-sort. *)
 let member_add t q =
-  if not (Hashtbl.mem t.confirmed q) then Node_id.Table.replace t.members q ()
+  if not (Node_id.Table.mem t.confirmed q || Node_id.Table.mem t.members q)
+  then begin
+    Node_id.Table.replace t.members q ();
+    t.members_changed <- true
+  end
 
-let member_remove t q = Node_id.Table.remove t.members q
+let member_remove t q =
+  if Node_id.Table.mem t.members q then begin
+    Node_id.Table.remove t.members q;
+    t.members_changed <- true
+  end
 
-let rebuild_registry t =
-  Access.iter_all_ids t.net (fun id -> member_add t id);
-  let ids = Node_id.Table.fold (fun id () acc -> id :: acc) t.members [] in
-  t.registry <- Array.of_list (List.sort Node_id.compare ids)
+(* Catch the registry up with the membership log: offer every id
+   spawned since the last wave (a state is created with its id, in
+   [Overlay.join_async]), then re-sort only if membership changed.
+   Offering each id once suffices: an id leaves [members] only when
+   convicted, and re-enters only through {!observe}, which lifts the
+   conviction and re-adds it itself. *)
+let catch_up t =
+  let spawned = Engine.spawned_count t.net.Access.engine in
+  for id = t.registered to spawned - 1 do
+    if Option.is_some (Access.state t.net id) then member_add t id
+  done;
+  t.registered <- spawned;
+  if t.members_changed then begin
+    let ids = Node_id.Table.fold (fun id () acc -> id :: acc) t.members [] in
+    t.registry <- Array.of_list (List.sort Node_id.compare ids);
+    t.members_changed <- false
+  end
 
 (* Position of [p] in the sorted registry — or, when absent, of its
    successor — for ring arithmetic. *)
@@ -149,9 +177,9 @@ let ring_contact t joiner =
 let observe t p q =
   let now = Engine.now t.net.Access.engine in
   let mon = monitor_of t p in
-  Hashtbl.replace mon.last q now;
-  Hashtbl.remove mon.suspected q;
-  Hashtbl.remove t.confirmed q;
+  Node_id.Table.replace mon.last q now;
+  Node_id.Table.remove mon.suspected q;
+  Node_id.Table.remove t.confirmed q;
   member_add t q
 
 (* The confirmed-dead verdict: [p] initiates [q]'s departure with
@@ -163,13 +191,13 @@ let observe t p q =
    its own instances whose parent was [q], and [q]'s instances
    themselves (harmless on a corpse; on a live [q] they queue its
    CHECK_PARENT re-attachment). *)
-let confirm t p sp q ~seen ~now =
-  let mon = monitor_of t p in
-  Hashtbl.remove mon.suspected q;
-  Hashtbl.remove mon.last q;
+let confirm t mon p sp q ~seen ~now =
+  Node_id.Table.remove mon.suspected q;
+  Node_id.Table.remove mon.last q;
   let false_kill = O.is_alive t.ov q in
   Tele.record_fd_confirm (tele t) ~false_kill ~latency:(now -. seen);
-  if not (Hashtbl.mem t.confirmed q) then Hashtbl.replace t.confirmed q now;
+  if not (Node_id.Table.mem t.confirmed q) then
+    Node_id.Table.replace t.confirmed q now;
   member_remove t q;
   for h = 1 to State.top sp do
     match State.level sp h with
@@ -199,25 +227,27 @@ let confirm t p sp q ~seen ~now =
    heartbeat — scheduled one full period ahead through
    [inject_delayed], which is what makes [period] real in simulated
    time (processing the wave advances the clock past [next_wave]). *)
-let step_pair t p sp q ~now =
-  let mon = monitor_of t p in
-  (match Hashtbl.find_opt mon.last q with
-  | None -> Hashtbl.replace mon.last q now (* first expectation: grace *)
+let step_pair t mon p sp q ~now =
+  (match Node_id.Table.find_opt mon.last q with
+  | None ->
+      (* first expectation: grace *)
+      Node_id.Table.replace mon.last q now
   | Some seen -> (
-      match Hashtbl.find_opt mon.suspected q with
+      match Node_id.Table.find_opt mon.suspected q with
       | Some since ->
-          if seen > since then Hashtbl.remove mon.suspected q
-          else if now -. since >= t.period then confirm t p sp q ~seen ~now
+          if seen > since then Node_id.Table.remove mon.suspected q
+          else if now -. since >= t.period then
+            confirm t mon p sp q ~seen ~now
       | None ->
           if now -. seen >= t.period *. float_of_int t.timeout_factor
           then begin
-            Hashtbl.replace mon.suspected q now;
+            Node_id.Table.replace mon.suspected q now;
             Tele.record_fd_suspicion (tele t)
               ~false_positive:(O.is_alive t.ov q);
             Engine.inject t.net.Access.engine ~dst:q
               (Msg.Suspect { suspect = q; by = p; seq = t.seq })
           end));
-  if not (Hashtbl.mem t.confirmed q) then
+  if not (Node_id.Table.mem t.confirmed q) then
     Engine.inject_delayed t.net.Access.engine ~delay:t.period ~dst:q
       (Msg.Heartbeat { from = p; seq = t.seq })
 
@@ -230,13 +260,14 @@ let tick t =
   let now = Engine.now t.net.Access.engine in
   if now >= t.next_wave then begin
     t.seq <- t.seq + 1;
-    rebuild_registry t;
+    catch_up t;
     List.iter
       (fun p ->
         match O.state t.ov p with
         | Some sp when O.is_alive t.ov p ->
+            let mon = monitor_of t p in
             Node_id.Set.iter
-              (fun q -> step_pair t p sp q ~now)
+              (fun q -> step_pair t mon p sp q ~now)
               (targets_of t sp)
         | Some _ | None -> ())
       (O.alive_ids t.ov);
@@ -278,10 +309,12 @@ let attach ov =
           fallbacks;
           monitors = Node_id.Table.create 64;
           members = Node_id.Table.create 64;
+          registered = 0;
+          members_changed = false;
           registry = [||];
           next_wave = 0.0;
           seq = 0;
-          confirmed = Hashtbl.create 8;
+          confirmed = Node_id.Table.create 8;
         }
       in
       O.set_fd_handler ov (Some (fun ctx s msg -> handle t ctx s msg));
@@ -298,15 +331,17 @@ let detach t =
 (* {2 Introspection (tests, fuzz, bench)} *)
 
 let confirmed t =
-  Hashtbl.fold (fun q at acc -> (q, at) :: acc) t.confirmed []
+  Node_id.Table.fold (fun q at acc -> (q, at) :: acc) t.confirmed []
   |> List.sort (fun (a, _) (b, _) -> Node_id.compare a b)
 
-let is_confirmed t q = Hashtbl.mem t.confirmed q
+let is_confirmed t q = Node_id.Table.mem t.confirmed q
 
 let suspicions t =
   Node_id.Table.fold
     (fun p mon acc ->
-      Hashtbl.fold (fun q since acc -> (p, q, since) :: acc) mon.suspected acc)
+      Node_id.Table.fold
+        (fun q since acc -> (p, q, since) :: acc)
+        mon.suspected acc)
     t.monitors []
   |> List.sort compare
 

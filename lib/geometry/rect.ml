@@ -1,4 +1,9 @@
-type t = { lo : float array; hi : float array }
+(* One flat float array: the [n] low bounds, then the [n] high bounds.
+   A rectangle is a single unboxed block, so unions, areas and MBR
+   reads touch one allocation instead of a record and two arrays. *)
+type t = float array
+
+let dims r = Array.length r / 2
 
 let check name lo hi =
   let n = Array.length lo in
@@ -12,72 +17,70 @@ let check name lo hi =
 
 let make ~low ~high =
   check "Rect.make" low high;
-  { lo = Array.copy low; hi = Array.copy high }
+  Array.append low high
 
 let make2 ~x0 ~y0 ~x1 ~y1 =
-  let lo = [| Float.min x0 x1; Float.min y0 y1 |] in
-  let hi = [| Float.max x0 x1; Float.max y0 y1 |] in
-  { lo; hi }
+  [| Float.min x0 x1; Float.min y0 y1; Float.max x0 x1; Float.max y0 y1 |]
 
 let of_point p =
   let cs = Point.coords p in
-  { lo = cs; hi = Array.copy cs }
+  Array.append cs cs
 
 let universe n =
   if n <= 0 then invalid_arg "Rect.universe: non-positive dimension";
-  { lo = Array.make n neg_infinity; hi = Array.make n infinity }
-
-let dims r = Array.length r.lo
+  let r = Array.make (2 * n) infinity in
+  Array.fill r 0 n neg_infinity;
+  r
 
 let low r i =
   if i < 0 || i >= dims r then invalid_arg "Rect.low: out of bounds";
-  r.lo.(i)
+  r.(i)
 
 let high r i =
   if i < 0 || i >= dims r then invalid_arg "Rect.high: out of bounds";
-  r.hi.(i)
+  r.(dims r + i)
 
-let lows r = Array.copy r.lo
-let highs r = Array.copy r.hi
-
-let equal r s =
-  dims r = dims s
-  && Array.for_all2 Float.equal r.lo s.lo
-  && Array.for_all2 Float.equal r.hi s.hi
-
+let lows r = Array.sub r 0 (dims r)
+let highs r = Array.sub r (dims r) (dims r)
+(* Lexicographic on (lows, highs): the flat layout stores them in that
+   order, so one pass over the array is the comparison. *)
 let compare r s =
-  let c = Int.compare (dims r) (dims s) in
+  let c = Int.compare (Array.length r) (Array.length s) in
   if c <> 0 then c
   else
-    let rec loop arr_r arr_s i =
-      if i >= Array.length arr_r then 0
+    let rec loop i =
+      if i >= Array.length r then 0
       else
-        let c = Float.compare arr_r.(i) arr_s.(i) in
-        if c <> 0 then c else loop arr_r arr_s (i + 1)
+        let c = Float.compare r.(i) s.(i) in
+        if c <> 0 then c else loop (i + 1)
     in
-    let c = loop r.lo s.lo 0 in
-    if c <> 0 then c else loop r.hi s.hi 0
+    loop 0
+
+let equal r s = compare r s = 0
 
 let check_same_dims name r s =
-  if dims r <> dims s then invalid_arg (name ^ ": dimension mismatch")
+  if Array.length r <> Array.length s then
+    invalid_arg (name ^ ": dimension mismatch")
 
-let extent r i = r.hi.(i) -. r.lo.(i)
+let extent r i = r.(dims r + i) -. r.(i)
 
 let area r =
   (* Multiply extents, treating 0 * infinity as 0 (a degenerate slab
      covers no area even if unbounded in another dimension). *)
+  let n = dims r in
   let acc = ref 1.0 in
-  for i = 0 to dims r - 1 do
-    let e = extent r i in
+  for i = 0 to n - 1 do
+    let e = r.(n + i) -. r.(i) in
     if e = 0.0 then acc := 0.0
     else if !acc <> 0.0 then acc := !acc *. e
   done;
   !acc
 
 let margin r =
+  let n = dims r in
   let acc = ref 0.0 in
-  for i = 0 to dims r - 1 do
-    acc := !acc +. extent r i
+  for i = 0 to n - 1 do
+    acc := !acc +. (r.(n + i) -. r.(i))
   done;
   !acc
 
@@ -85,7 +88,7 @@ let center r =
   let n = dims r in
   let cs =
     Array.init n (fun i ->
-        let l = r.lo.(i) and h = r.hi.(i) in
+        let l = r.(i) and h = r.(n + i) in
         if Float.is_finite l && Float.is_finite h then (l +. h) /. 2.0
         else if Float.is_finite l then l
         else if Float.is_finite h then h
@@ -96,36 +99,46 @@ let center r =
 let contains_point r p =
   if Point.dims p <> dims r then
     invalid_arg "Rect.contains_point: dimension mismatch";
+  let n = dims r in
   let rec loop i =
-    i >= dims r
-    || (r.lo.(i) <= Point.coord p i && Point.coord p i <= r.hi.(i) && loop (i + 1))
+    i >= n
+    || (r.(i) <= Point.coord p i
+       && Point.coord p i <= r.(n + i)
+       && loop (i + 1))
   in
   loop 0
 
 let contains outer inner =
   check_same_dims "Rect.contains" outer inner;
+  let n = dims outer in
   let rec loop i =
-    i >= dims outer
-    || (outer.lo.(i) <= inner.lo.(i) && inner.hi.(i) <= outer.hi.(i)
-        && loop (i + 1))
+    i >= n
+    || (outer.(i) <= inner.(i)
+       && inner.(n + i) <= outer.(n + i)
+       && loop (i + 1))
   in
   loop 0
 
 let intersects r s =
   check_same_dims "Rect.intersects" r s;
+  let n = dims r in
   let rec loop i =
-    i >= dims r || (r.lo.(i) <= s.hi.(i) && s.lo.(i) <= r.hi.(i) && loop (i + 1))
+    i >= n || (r.(i) <= s.(n + i) && s.(i) <= r.(n + i) && loop (i + 1))
   in
   loop 0
 
 let intersection r s =
   check_same_dims "Rect.intersection" r s;
   if not (intersects r s) then None
-  else
+  else begin
     let n = dims r in
-    let lo = Array.init n (fun i -> Float.max r.lo.(i) s.lo.(i)) in
-    let hi = Array.init n (fun i -> Float.min r.hi.(i) s.hi.(i)) in
-    Some { lo; hi }
+    let x = Array.make (2 * n) 0.0 in
+    for i = 0 to n - 1 do
+      x.(i) <- Float.max r.(i) s.(i);
+      x.(n + i) <- Float.min r.(n + i) s.(n + i)
+    done;
+    Some x
+  end
 
 let intersection_area r s =
   match intersection r s with None -> 0.0 | Some x -> area x
@@ -133,9 +146,12 @@ let intersection_area r s =
 let union r s =
   check_same_dims "Rect.union" r s;
   let n = dims r in
-  let lo = Array.init n (fun i -> Float.min r.lo.(i) s.lo.(i)) in
-  let hi = Array.init n (fun i -> Float.max r.hi.(i) s.hi.(i)) in
-  { lo; hi }
+  let x = Array.make (2 * n) 0.0 in
+  for i = 0 to n - 1 do
+    x.(i) <- Float.min r.(i) s.(i);
+    x.(n + i) <- Float.max r.(n + i) s.(n + i)
+  done;
+  x
 
 let union_many = function
   | [] -> invalid_arg "Rect.union_many: empty list"
@@ -154,12 +170,13 @@ let enlargement r s =
 let distance_sq_to_point r p =
   if Point.dims p <> dims r then
     invalid_arg "Rect.distance_sq_to_point: dimension mismatch";
+  let n = dims r in
   let acc = ref 0.0 in
-  for i = 0 to dims r - 1 do
+  for i = 0 to n - 1 do
     let x = Point.coord p i in
     let d =
-      if x < r.lo.(i) then r.lo.(i) -. x
-      else if x > r.hi.(i) then x -. r.hi.(i)
+      if x < r.(i) then r.(i) -. x
+      else if x > r.(n + i) then x -. r.(n + i)
       else 0.0
     in
     acc := !acc +. (d *. d)
@@ -173,9 +190,10 @@ let waste r s =
   else 0.0
 
 let pp ppf r =
-  for i = 0 to dims r - 1 do
+  let n = dims r in
+  for i = 0 to n - 1 do
     if i > 0 then Format.fprintf ppf "x";
-    Format.fprintf ppf "[%g,%g]" r.lo.(i) r.hi.(i)
+    Format.fprintf ppf "[%g,%g]" r.(i) r.(n + i)
   done
 
 let to_string r = Format.asprintf "%a" pp r

@@ -1,8 +1,10 @@
 type latency = Fixed of float | Uniform of float * float
 type loss_model = Per_message | Per_byte
 
+(* [src] is [env] (-1) for an environment injection: ids are dense
+   from 0, so the sentinel saves an option per send. *)
 type 'm delivery = {
-  src : Node_id.t option;
+  src : Node_id.t;
   dst : Node_id.t;
   msg : 'm;
   frame : string option;
@@ -28,7 +30,9 @@ type 'm t = {
   mutable drop_rate : float;
   mutable loss_model : loss_model;
   queue : 'm delivery Heap.t;
-  handlers : ('m ctx -> 'm -> unit) option Node_id.Table.t;
+  mutable handlers : ('m ctx -> 'm -> unit) option array;
+      (* indexed by id ([spawn] hands ids out densely); [None] once
+         killed, and ids at or past the length were never spawned *)
   mutable next_id : int;
   mutable time : float;
   mutable seq : int;
@@ -71,7 +75,7 @@ let create ?(latency = Fixed 1.0) ?(transport = Transport.Inproc)
     drop_rate;
     loss_model = Per_message;
     queue = Heap.create ();
-    handlers = Node_id.Table.create 256;
+    handlers = [||];
     next_id = 0;
     time = 0.0;
     seq = 0;
@@ -99,18 +103,26 @@ let transport t = t.transport
 let spawn t handler =
   let id = t.next_id in
   t.next_id <- id + 1;
-  Node_id.Table.replace t.handlers id (Some handler);
+  let cap = Array.length t.handlers in
+  if id >= cap then begin
+    let handlers = Array.make (max 16 (2 * cap)) None in
+    Array.blit t.handlers 0 handlers 0 cap;
+    t.handlers <- handlers
+  end;
+  t.handlers.(id) <- Some handler;
   t.alive <- t.alive + 1;
   id
 
-let is_alive t id =
-  match Node_id.Table.find_opt t.handlers id with
-  | Some (Some _) -> true
-  | Some None | None -> false
+(* Bounds-checked, so a message to a negative or never-spawned id
+   finds no handler and counts as dropped. *)
+let handler_of t id =
+  if id >= 0 && id < Array.length t.handlers then t.handlers.(id) else None
+
+let is_alive t id = Option.is_some (handler_of t id)
 
 let kill t id =
   if is_alive t id then begin
-    Node_id.Table.replace t.handlers id None;
+    t.handlers.(id) <- None;
     t.alive <- t.alive - 1
   end
 
@@ -142,13 +154,16 @@ let effective_drop t bytes =
       if bytes <= 0 then t.drop_rate
       else 1.0 -. ((1.0 -. t.drop_rate) ** float_of_int bytes)
 
-let enqueue ?delay t src dst msg =
-  let is_self =
-    match src with Some s -> Node_id.equal s dst | None -> false
-  in
-  (match src with
-  | Some s when Node_id.equal s dst -> t.selfs <- t.selfs + 1
-  | Some _ | None -> t.sent <- t.sent + 1);
+let env = -1
+let src_option src = if src = env then None else Some src
+let is_self src dst = src <> env && Node_id.equal src dst
+
+(* A [timer] injection arrives after exactly [delay] and spends no
+   latency draw; every other message samples the link latency, after
+   its loss draw. *)
+let enqueue t ~src ~dst ~timer ~delay msg =
+  let is_self = is_self src dst in
+  if is_self then t.selfs <- t.selfs + 1 else t.sent <- t.sent + 1;
   (* Self-messages model local computation: they bypass the transport
      (no frame, no bytes) and are never lost. *)
   let frame =
@@ -171,27 +186,27 @@ let enqueue ?delay t src dst msg =
     t.bytes_lost <- t.bytes_lost + bytes
   end
   else begin
-    let delay =
-      match delay with Some d -> d | None -> sample_latency t
-    in
+    let delay = if timer then delay else sample_latency t in
     t.seq <- t.seq + 1;
     Heap.add t.queue ~priority:(t.time +. delay) ~seq:t.seq
       { src; dst; msg; frame; bytes }
   end
 
-let inject t ~dst msg = enqueue t None dst msg
+let inject t ~dst msg = enqueue t ~src:env ~dst ~timer:false ~delay:0.0 msg
 
 let inject_delayed t ~delay ~dst msg =
   if delay < 0.0 then invalid_arg "Engine.inject_delayed: negative delay";
-  enqueue ~delay t None dst msg
+  enqueue t ~src:env ~dst ~timer:true ~delay msg
 
 let self ctx = ctx.id
 let engine ctx = ctx.eng
-let send ctx dst msg = enqueue ctx.eng (Some ctx.id) dst msg
+
+let send ctx dst msg =
+  enqueue ctx.eng ~src:ctx.id ~dst ~timer:false ~delay:0.0 msg
 
 let deliver t { src; dst; msg; frame; bytes } =
-  match Node_id.Table.find_opt t.handlers dst with
-  | Some (Some handler) -> (
+  match handler_of t dst with
+  | Some handler -> (
       (* The wire boundary: what the handler sees is what the decoder
          produced from the frame, never the sender's value. *)
       let received =
@@ -211,18 +226,15 @@ let deliver t { src; dst; msg; frame; bytes } =
       match received with
       | None -> () (* an undecodable frame is silently discarded *)
       | Some m ->
-          let is_self =
-            match src with Some s -> Node_id.equal s dst | None -> false
-          in
-          if not is_self then begin
+          if not (is_self src dst) then begin
             t.bytes_received <- t.bytes_received + bytes;
             match t.meter with Some f -> f `Received m bytes | None -> ()
           end;
           (match t.tracer with
-          | Some trace -> trace t.time ~src ~dst m
+          | Some trace -> trace t.time ~src:(src_option src) ~dst m
           | None -> ());
           handler { eng = t; id = dst } m)
-  | Some None | None -> t.dropped <- t.dropped + 1
+  | None -> t.dropped <- t.dropped + 1
 
 (* Adversarial stepping: materialize the whole enabled set in (time,
    sequence) order, let the scheduler pick a victim, then rebuild the
@@ -241,8 +253,8 @@ let step_scheduled t sched =
       let view =
         Array.map
           (fun (prio, _, d) ->
-            { p_time = prio; p_src = d.src; p_dst = d.dst; p_msg = d.msg;
-              p_bytes = d.bytes })
+            { p_time = prio; p_src = src_option d.src; p_dst = d.dst;
+              p_msg = d.msg; p_bytes = d.bytes })
           entries
       in
       let valid i = if i >= 0 && i < Array.length entries then i else 0 in

@@ -1,8 +1,16 @@
-(** Binary min-heap, keyed by float priority with an integer tiebreak.
+(** Min-priority queue, keyed by float priority with an integer tiebreak.
 
     The simulator's event queue: events fire in (time, sequence) order,
     so simultaneous events are processed in insertion order and runs
-    are deterministic. *)
+    are deterministic.
+
+    Entries are stored as parallel arrays (unboxed priorities,
+    tiebreaks, values), so adding and popping allocate nothing beyond
+    amortized growth. An add at or after the last in-order add goes to
+    a FIFO run (O(1) add and pop); any other add goes to a binary heap
+    (O(log n)); pops take the smaller of the two minima. A popped
+    value is not kept reachable: its slot is overwritten with the
+    first value ever added. *)
 
 type 'a t
 

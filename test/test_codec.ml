@@ -361,6 +361,21 @@ let test_tags_unique_and_total () =
   let tags = List.map (fun m -> (M.Codec.encode m).[4]) exemplars in
   check_int "tag bytes pairwise unique" (List.length exemplars)
     (List.length (List.sort_uniq Char.compare tags));
+  (* The kind code indexing the traffic counters is that byte, and
+     each code names its own constructor (the traffic readers and the
+     fuzz fingerprint key on these names). *)
+  check_int "kind count" 19 M.kind_count;
+  List.iter2
+    (fun m tag ->
+      check_int (M.tag m ^ " kind code is its tag byte") (Char.code tag)
+        (M.kind_code m))
+    exemplars tags;
+  check_bool "kind names" true
+    (List.map M.tag exemplars
+    = [ "QUERY"; "REPORT"; "JOIN"; "ADD_CHILD"; "LEAVE"; "CHECK_MBR";
+        "CHECK_PARENT"; "CHECK_CHILDREN"; "CHECK_COVER"; "CHECK_STRUCTURE";
+        "COVER_SWEEP"; "INITIATE_NEW_CONNECTION"; "PUBLISH"; "AGG_SUBSCRIBE";
+        "AGG_PARTIAL"; "AGG_RESULT"; "AGG_MERGE"; "HEARTBEAT"; "SUSPECT" ]);
   List.iter
     (fun m ->
       match M.Codec.decode (M.Codec.encode m) with

@@ -170,6 +170,85 @@ let prop_no_false_kills =
         QCheck2.Test.fail_reportf "only %d wave(s) emitted" (Fd.Runtime.wave rt);
       true)
 
+(* --- The registry watermark --------------------------------------------- *)
+
+(* The fallback ring's registry is caught up from a watermark over the
+   spawn range and re-sorted only when membership changed. It must
+   equal what a rebuild from the whole membership log gives at every
+   wave: the sorted ids that hold a state (alive or crashed) and were
+   not convicted when the wave began. Random joins, silent-crash
+   bursts and rounds, some under loss so that false kills and lifted
+   convictions occur too, on both store layouts, which must also
+   agree with each other. *)
+let prop_registry_watermark =
+  let step =
+    QCheck2.Gen.(
+      frequency
+        [ (3, map (fun k -> `Join k) (int_range 1 3)); (1, pure `Crash);
+          (4, pure `Round) ])
+  in
+  QCheck2.Test.make ~name:"registry = stateful unconvicted ids at every wave"
+    ~count:20
+    QCheck2.Gen.(
+      triple (int_range 0 10_000) (oneofl [ 0.0; 0.15 ])
+        (list_size (int_range 10 60) step))
+    (fun (seed, drop, steps) ->
+      let run layout =
+        let detector =
+          Cfg.Heartbeat { period = 1.0; timeout_factor = 2; fallbacks = 2 }
+        in
+        let ov = O.create ~cfg:(Cfg.make ~detector ~layout ()) ~seed () in
+        let rt = Fd.Runtime.attach ov in
+        Sim.Engine.set_drop_rate (O.engine ov) drop;
+        let rng = Rng.make ((seed * 13) + 1) in
+        let waves = ref [] in
+        List.iter
+          (function
+            | `Join k ->
+                for _ = 1 to k do
+                  let x0 = Rng.range rng 0.0 90.0
+                  and y0 = Rng.range rng 0.0 90.0 in
+                  let r = R.make2 ~x0 ~y0 ~x1:(x0 +. 5.0) ~y1:(y0 +. 5.0) in
+                  ignore (O.join ov r)
+                done
+            | `Crash -> (
+                match O.alive_ids ov with
+                | [] | [ _ ] -> ()
+                | ids ->
+                    let v = List.nth ids (Rng.int rng (List.length ids)) in
+                    O.crash_silent ov v)
+            | `Round ->
+                let expected =
+                  List.filter
+                    (fun id ->
+                      O.state ov id <> None
+                      && not (Fd.Runtime.is_confirmed rt id))
+                    (List.init (Sim.Engine.spawned_count (O.engine ov)) Fun.id)
+                in
+                let w0 = Fd.Runtime.wave rt in
+                O.stabilize_round ov;
+                if Fd.Runtime.wave rt > w0 then begin
+                  let got = Fd.Runtime.registry rt in
+                  if got <> expected then
+                    QCheck2.Test.fail_reportf
+                      "wave %d: registry [%s] <> expected [%s] (seed %d)"
+                      (Fd.Runtime.wave rt)
+                      (String.concat ";" (List.map string_of_int got))
+                      (String.concat ";" (List.map string_of_int expected))
+                      seed;
+                  waves := got :: !waves
+                end)
+          (* a quiet tail, so convictions also land with no join
+             after them *)
+          (steps @ List.init 8 (fun _ -> `Round));
+        (!waves, Tele.fd_confirms (O.telemetry ov))
+      in
+      let flat = run Cfg.Flat and hashed = run Cfg.Hashed in
+      if flat <> hashed then
+        QCheck2.Test.fail_reportf "layouts disagree on the registry (seed %d)"
+          seed;
+      true)
+
 (* --- Oracle bit-identity --------------------------------------------------- *)
 
 (* Under [Config.detector = Oracle] nothing changed: no detector
@@ -240,6 +319,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_no_false_kills;
           Alcotest.test_case "oracle sends no detector traffic" `Quick
             test_oracle_sends_nothing;
+          QCheck_alcotest.to_alcotest prop_registry_watermark;
         ] );
       ( "traces",
         [

@@ -229,6 +229,62 @@ let prop_distance_bounded_by_center =
       || R.distance_sq_to_point r p
          <= Geometry.Point.distance_sq (R.center r) p +. 1e-9)
 
+(* Rectangles of 1..3 dimensions whose bounds come from a few values,
+   so comparisons hit ties in every position. *)
+let small_rect_gen =
+  let open QCheck2.Gen in
+  let bound = oneofl [ neg_infinity; -1.0; 0.0; 0.5; 2.0; infinity ] in
+  int_range 1 3 >>= fun n ->
+  map2
+    (fun a b ->
+      let lo = Array.map2 Float.min a b and hi = Array.map2 Float.max a b in
+      (lo, hi))
+    (array_size (pure n) bound) (array_size (pure n) bound)
+
+(* [compare] and [equal] are the lexicographic order on (dims, lows,
+   highs), whatever the storage layout; [make], [of_point], [lows] and
+   [highs] never share an array with their caller. *)
+let prop_rect_order_and_copies =
+  QCheck2.Test.make ~name:"rect order lexicographic, no aliasing" ~count:500
+    QCheck2.Gen.(pair small_rect_gen small_rect_gen)
+    (fun ((lo_a, hi_a), (lo_b, hi_b)) ->
+      let a = R.make ~low:lo_a ~high:hi_a and b = R.make ~low:lo_b ~high:hi_b in
+      let key lo hi = (Array.length lo, Array.to_list lo, Array.to_list hi) in
+      let reference (n1, l1, h1) (n2, l2, h2) =
+        match Int.compare n1 n2 with
+        | 0 -> (
+            match List.compare Float.compare l1 l2 with
+            | 0 -> List.compare Float.compare h1 h2
+            | c -> c)
+        | c -> c
+      in
+      let sign x = Int.compare x 0 in
+      let expected = reference (key lo_a hi_a) (key lo_b hi_b) in
+      let order_ok =
+        sign (R.compare a b) = sign expected
+        && sign (R.compare b a) = - (sign expected)
+        && Bool.equal (R.equal a b) (expected = 0)
+        && R.compare a a = 0 && R.equal a a
+      in
+      (* Scribble over every array that crossed the interface. *)
+      let saved_lo = Array.copy lo_a and saved_hi = Array.copy hi_a in
+      Array.fill lo_a 0 (Array.length lo_a) 42.0;
+      Array.fill hi_a 0 (Array.length hi_a) 43.0;
+      let out_lo = R.lows a and out_hi = R.highs a in
+      Array.fill out_lo 0 (Array.length out_lo) 44.0;
+      Array.fill out_hi 0 (Array.length out_hi) 45.0;
+      let make_ok = R.lows a = saved_lo && R.highs a = saved_hi in
+      let finite x = if Float.is_finite x then x else 1.0 in
+      let pt = P.make (Array.map finite saved_lo) in
+      let r = R.of_point pt in
+      let r_lo = R.lows r in
+      Array.fill r_lo 0 (Array.length r_lo) 46.0;
+      let of_point_ok =
+        R.lows r = P.coords pt && R.highs r = P.coords pt
+        && R.dims r = P.dims pt && R.area r = 0.0
+      in
+      order_ok && make_ok && of_point_ok)
+
 let () =
   let qsuite =
     List.map QCheck_alcotest.to_alcotest
@@ -243,6 +299,7 @@ let () =
         prop_enlargement_nonneg;
         prop_distance_zero_iff_inside;
         prop_distance_bounded_by_center;
+        prop_rect_order_and_copies;
       ]
   in
   Alcotest.run "geometry"

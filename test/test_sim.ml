@@ -120,6 +120,75 @@ let test_heap_stress () =
   in
   check_int "all popped" n (drain neg_infinity 0)
 
+(* A popped value must not stay reachable from the queue's arrays
+   until its slot is reused: every vacated slot is refilled with the
+   first value ever added, so at most that one popped value survives.
+   [clear] vacates every slot the same way. Three drives: out-of-order
+   adds (both the run and the binary heap fill), then pops or a clear;
+   and in-order adds interleaved with pops, which makes the run slide
+   its live entries down. *)
+let test_heap_releases_popped () =
+  let n = 1_000 in
+  let reachable_after drive =
+    let h = Heap.create () in
+    let weak = Weak.create n in
+    let add i ~priority =
+      let v = ref i in
+      Weak.set weak i (Some v);
+      Heap.add h ~priority ~seq:i v
+    in
+    drive h add;
+    Gc.full_major ();
+    Gc.full_major ();
+    let live = ref 0 in
+    for i = 0 to n - 1 do
+      if Weak.check weak i then incr live
+    done;
+    (* keep the queue itself alive across the collections *)
+    ignore (Sys.opaque_identity (Heap.length h));
+    !live
+  in
+  let add_shuffled add =
+    for i = 0 to n - 1 do
+      add i ~priority:(float_of_int (i mod 13))
+    done
+  in
+  let drain h =
+    while not (Heap.is_empty h) do
+      ignore (Heap.pop_exn h)
+    done
+  in
+  let popped =
+    reachable_after (fun h add ->
+        add_shuffled add;
+        drain h)
+  in
+  check_bool
+    (Printf.sprintf "at most one popped value reachable (%d)" popped)
+    true (popped <= 1);
+  let cleared =
+    reachable_after (fun h add ->
+        add_shuffled add;
+        Heap.clear h)
+  in
+  check_bool
+    (Printf.sprintf "at most one cleared value reachable (%d)" cleared)
+    true (cleared <= 1);
+  let slid =
+    reachable_after (fun h add ->
+        for i = 0 to n - 1 do
+          add i ~priority:(float_of_int i);
+          if i mod 4 = 3 then
+            for _ = 1 to 3 do
+              ignore (Heap.pop_exn h)
+            done
+        done;
+        drain h)
+  in
+  check_bool
+    (Printf.sprintf "at most one value reachable after slides (%d)" slid)
+    true (slid <= 1)
+
 (* --- Engine ----------------------------------------------------------------- *)
 
 let test_engine_delivery () =
@@ -406,6 +475,101 @@ let test_engine_alive_nodes () =
     (Engine.alive_nodes eng = [ List.nth ids 0; List.nth ids 2; List.nth ids 3 ]);
   check_int "spawned" 4 (Engine.spawned_count eng)
 
+(* The handler table is an array indexed by id: a negative id, an id
+   past the spawn range and a killed id all find no handler, and a
+   message to any of them is dropped and counted like one to a dead
+   process. An environment injection to a negative id is still an
+   inter-process message, never a self-message. *)
+let test_engine_drops_unknown_ids () =
+  let eng = Engine.create ~seed:1 () in
+  let got = ref 0 in
+  let a =
+    Engine.spawn eng (fun ctx msg ->
+        incr got;
+        if msg = "relay" then Engine.send ctx (-7) "from a")
+  in
+  let b = Engine.spawn eng (fun _ _ -> incr got) in
+  Engine.kill eng b;
+  let past = Engine.spawned_count eng in
+  let targets = [ -1; min_int; past; past + 1_000; b ] in
+  List.iter
+    (fun id ->
+      check_bool (Printf.sprintf "%d not alive" id) false
+        (Engine.is_alive eng id))
+    targets;
+  check_bool "spawned id alive" true (Engine.is_alive eng a);
+  List.iter (fun dst -> Engine.inject eng ~dst "x") targets;
+  Engine.inject eng ~dst:a "relay";
+  ignore (Engine.run eng);
+  check_int "every undeliverable message dropped"
+    (List.length targets + 1)
+    (Engine.messages_dropped eng);
+  check_int "only the relay was handled" 1 !got;
+  check_int "no self-messages" 0 (Engine.self_messages eng);
+  check_int "all counted as sent" (List.length targets + 2)
+    (Engine.messages_sent eng);
+  (* Spawning grows the table past the old end. *)
+  let c = Engine.spawn eng (fun _ _ -> incr got) in
+  check_int "dense ids" past c;
+  Engine.inject eng ~dst:c "x";
+  ignore (Engine.run eng);
+  check_int "new process handles" 2 !got
+
+(* The traffic meter indexes its counters by kind code; the
+   string-keyed readers keep their behaviour across a reset: only
+   post-reset traffic shows, and only kinds that carried a message
+   are listed. *)
+let test_traffic_reset () =
+  let module Tele = Drtree.Telemetry in
+  let module M = Drtree.Message in
+  let hb = M.kind_code (M.Heartbeat { from = 0; seq = 0 }) in
+  let tele = Tele.create () in
+  Tele.record_traffic tele `Sent ~code:hb ~bytes:5;
+  Tele.record_traffic tele `Received ~code:hb ~bytes:5;
+  check_bool "one kind" true
+    (List.map fst (Tele.traffic_entries tele) = [ "HEARTBEAT" ]);
+  Tele.reset_traffic tele;
+  check_bool "reset empties the listing" true (Tele.traffic_entries tele = []);
+  check_int "reset zeroes" 0 (Tele.traffic_of tele "HEARTBEAT").Tele.sent_msgs;
+  Tele.record_traffic tele `Received ~code:hb ~bytes:9;
+  let c = Tele.traffic_of tele "HEARTBEAT" in
+  check_bool "post-reset counts only" true
+    (c.Tele.sent_msgs = 0 && c.Tele.sent_bytes = 0 && c.Tele.recv_msgs = 1
+    && c.Tele.recv_bytes = 9);
+  check_int "unknown kind reads zero" 0
+    (Tele.traffic_of tele "NOPE").Tele.recv_msgs;
+  (* The same contract through an overlay's engine meter. *)
+  let ov =
+    Drtree.Overlay.create ~transport:Drtree.Message.Codec.transport ~seed:5 ()
+  in
+  let eng = Drtree.Overlay.engine ov in
+  let tele = Drtree.Overlay.telemetry ov in
+  let join x =
+    ignore
+      (Drtree.Overlay.join ov
+         (Geometry.Rect.make2 ~x0:x ~y0:x ~x1:(x +. 3.0) ~y1:(x +. 3.0)))
+  in
+  List.iter join [ 1.0; 20.0; 40.0; 60.0 ];
+  check_bool "traffic before reset" true (Tele.traffic_entries tele <> []);
+  Tele.reset_traffic tele;
+  Engine.reset_counters eng;
+  join 80.0;
+  let entries = Tele.traffic_entries tele in
+  check_bool "listed kinds carried a message" true
+    (entries <> []
+    && List.for_all
+         (fun (_, c) -> c.Tele.sent_msgs + c.Tele.recv_msgs > 0)
+         entries);
+  check_bool "kind-sorted" true
+    (List.map fst entries = List.sort String.compare (List.map fst entries));
+  let sum f = List.fold_left (fun acc (_, c) -> acc + f c) 0 entries in
+  check_int "sent messages are post-reset" (Engine.messages_sent eng)
+    (sum (fun c -> c.Tele.sent_msgs));
+  check_int "sent bytes are post-reset" (Engine.bytes_sent eng)
+    (sum (fun c -> c.Tele.sent_bytes));
+  check_int "received bytes are post-reset" (Engine.bytes_received eng)
+    (sum (fun c -> c.Tele.recv_bytes))
+
 (* --- Churn ------------------------------------------------------------------ *)
 
 let test_churn_trace () =
@@ -455,9 +619,11 @@ let test_alloc_engine_events () =
         ignore (Engine.run eng))
   in
   let per_event = words /. float_of_int m in
-  (* Measured 7 words/event (the delivery context record); the bound
-     leaves headroom for compiler drift but catches any return of the
-     pre-batched loop's per-event option/tuple allocations. *)
+  (* Measured 15 words/event: the queued delivery record, the handler
+     context and boxed floats for the priority and the clock. The
+     bound leaves headroom for compiler drift but catches any return
+     of per-event option/tuple allocations or of a queue comparison
+     that boxes its priorities (~100 words/event). *)
   check_bool
     (Printf.sprintf "inproc delivery stays lean (%.1f words/event)" per_event)
     true
@@ -560,6 +726,67 @@ let test_alloc_wire_round () =
 
 (* --- Properties ---------------------------------------------------------------- *)
 
+(* The heap against a model: a list kept sorted by (priority, seq),
+   driven by random interleavings of add, pop, pop_exn and clear.
+   Priorities come from a handful of values so most comparisons are
+   ties, and sequence numbers are unique but unrelated to insertion
+   order, so the tiebreak is exercised in both directions. *)
+let prop_heap_model =
+  let op =
+    QCheck2.Gen.(
+      frequency
+        [
+          (6, map2 (fun p s -> `Add (p, s)) (int_range 0 4) (int_range 0 50));
+          (3, pure `Pop);
+          (2, pure `Pop_exn);
+          (1, pure `Clear);
+        ])
+  in
+  QCheck2.Test.make ~name:"heap matches a sorted-list model" ~count:300
+    QCheck2.Gen.(list_size (int_range 0 400) op)
+    (fun ops ->
+      let h = Heap.create () in
+      let model = ref [] in
+      let cmp (p1, s1, _) (p2, s2, _) =
+        match Float.compare p1 p2 with 0 -> Int.compare s1 s2 | c -> c
+      in
+      let step i op =
+        match op with
+        | `Add (p, s) ->
+            let e = (float_of_int p, (s * 1_000) + i, i) in
+            let prio, seq, v = e in
+            Heap.add h ~priority:prio ~seq v;
+            model := List.merge cmp [ e ] !model;
+            true
+        | `Pop -> (
+            match (Heap.pop h, !model) with
+            | None, [] -> true
+            | Some got, m :: rest ->
+                model := rest;
+                got = m
+            | Some _, [] | None, _ :: _ -> false)
+        | `Pop_exn -> (
+            match !model with
+            | [] -> Heap.is_empty h
+            | (p, _, v) :: rest ->
+                model := rest;
+                let prio = Heap.min_prio h in
+                Float.equal prio p && Heap.pop_exn h = v)
+        | `Clear ->
+            Heap.clear h;
+            model := [];
+            true
+      in
+      let agrees () =
+        Heap.length h = List.length !model
+        && Heap.peek h = match !model with [] -> None | m :: _ -> Some m
+      in
+      let rec go i = function
+        | [] -> true
+        | op :: rest -> step i op && agrees () && go (i + 1) rest
+      in
+      go 0 ops)
+
 let prop_heap_sorts =
   QCheck2.Test.make ~name:"heap drains in sorted order" ~count:200
     QCheck2.Gen.(list_size (int_range 1 200) (float_range 0.0 1000.0))
@@ -591,7 +818,10 @@ let () =
           Alcotest.test_case "ordering" `Quick test_heap_ordering;
           Alcotest.test_case "fifo tiebreak" `Quick test_heap_tiebreak;
           Alcotest.test_case "stress" `Quick test_heap_stress;
+          Alcotest.test_case "popped values released" `Quick
+            test_heap_releases_popped;
           QCheck_alcotest.to_alcotest prop_heap_sorts;
+          QCheck_alcotest.to_alcotest prop_heap_model;
         ] );
       ( "engine",
         [
@@ -603,6 +833,8 @@ let () =
           Alcotest.test_case "counter reset" `Quick test_engine_counters_reset;
           Alcotest.test_case "message loss" `Quick test_engine_drop_rate;
           Alcotest.test_case "alive tracking" `Quick test_engine_alive_nodes;
+          Alcotest.test_case "unknown ids dropped" `Quick
+            test_engine_drops_unknown_ids;
         ] );
       ( "transport",
         [
@@ -612,6 +844,7 @@ let () =
             test_engine_wire_schedule_identity;
           Alcotest.test_case "per-byte loss" `Quick test_engine_per_byte_loss;
           Alcotest.test_case "meter hook" `Quick test_engine_meter;
+          Alcotest.test_case "traffic reset" `Quick test_traffic_reset;
           Alcotest.test_case "drop-rate validation" `Quick
             test_engine_drop_rate_validation;
         ] );
