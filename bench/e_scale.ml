@@ -169,103 +169,3 @@ let e26 () =
   Format.printf
     "scheduler equivalence holds (height/FP/legality); quiescent rounds \
      execute >=5x fewer CHECK_* under the incremental scheduler@."
-
-(* --- E27: domain-parallel round execution -------------------------------- *)
-
-(* The [Config.domains] knob (DESIGN.md §12) measured: build (N joins
-   + stabilize to legality) and quiescent full-sweep rounds, per
-   (N, domains). Any domain count is bit-identical to the sequential
-   run by construction, so the experiment {e asserts} exact
-   equivalence — height, legality, CHECK_* executions, probes and
-   round count must match domains=1 at every count; a mismatch aborts
-   the suite — and only {e reports} the wall-clock ratios. The
-   speedup columns are hardware-bound: on a single-core host they
-   hover near (or, paying the barrier, below) 1x; the >=2x build
-   target at 4 domains needs >=4 cores. Override the populations with
-   e.g. DRTREE_E27_SIZES=256 for a CI smoke run. *)
-
-let e27_domain_counts = [ 1; 2; 4; 8 ]
-let e27_quiescent_rounds = 10
-
-let e27_sizes () = sizes_of_env "DRTREE_E27_SIZES" ~default:[ 4096; 16384 ]
-
-type e27_obs = {
-  o_build : float;
-  o_quiet : float;
-  o_execs : int;
-  o_probes : int;
-  o_rounds : int;
-  o_height : int;
-  o_legal : bool;
-}
-
-let e27_run ~n domains =
-  let cfg = Drtree.Config.make ~domains () in
-  let rng = Rng.make (27000 + n) in
-  let rects = Sg.uniform () space rng n in
-  let ov = O.create ~cfg ~seed:(27 + n) () in
-  let tele = O.telemetry ov in
-  let t0 = now () in
-  List.iter (fun r -> ignore (O.join ov r)) rects;
-  ignore (O.stabilize ~max_rounds:200 ~legal:Inv.is_legal ov);
-  let t_build = now () -. t0 in
-  let t1 = now () in
-  for _ = 1 to e27_quiescent_rounds do
-    O.stabilize_round ov
-  done;
-  let t_quiet = now () -. t1 in
-  {
-    o_build = t_build;
-    o_quiet = t_quiet;
-    o_execs = Drtree.Telemetry.execs tele;
-    o_probes = Drtree.Telemetry.probes tele;
-    o_rounds = List.length (Drtree.Telemetry.rounds tele);
-    o_height = O.height ov;
-    o_legal = Inv.is_legal ov;
-  }
-
-let e27 () =
-  let table =
-    Table.create
-      ~title:"E27  domain-parallel rounds: wall-clock vs Config.domains"
-      ~columns:
-        [
-          "N"; "domains"; "build s"; "build x"; "quiet s"; "quiet x"; "execs";
-          "probes"; "height";
-        ]
-  in
-  let ratio base t = if t > 0.0 then base /. t else nan in
-  List.iter
-    (fun n ->
-      let base = e27_run ~n 1 in
-      List.iter
-        (fun d ->
-          let r = if d = 1 then base else e27_run ~n d in
-          if
-            r.o_execs <> base.o_execs
-            || r.o_probes <> base.o_probes
-            || r.o_rounds <> base.o_rounds
-            || r.o_height <> base.o_height
-            || r.o_legal <> base.o_legal
-          then
-            failwith
-              (Printf.sprintf
-                 "E27: domains=%d diverges from sequential at N=%d \
-                  (execs %d/%d, probes %d/%d, rounds %d/%d, height %d/%d, \
-                  legal %b/%b)"
-                 d n r.o_execs base.o_execs r.o_probes base.o_probes
-                 r.o_rounds base.o_rounds r.o_height base.o_height r.o_legal
-                 base.o_legal);
-          Table.add_rowf table "%d|%d|%.2f|%.2f|%.3f|%.2f|%d|%d|%d" n d
-            r.o_build
-            (ratio base.o_build r.o_build)
-            r.o_quiet
-            (ratio base.o_quiet r.o_quiet)
-            r.o_execs r.o_probes r.o_height)
-        e27_domain_counts)
-    (e27_sizes ());
-  Table.print table;
-  Format.printf
-    "every domain count reproduced the sequential run exactly \
-     (height/legality/execs/probes/rounds asserted equal); the speedup \
-     columns are hardware-bound — >=2x at 4 domains needs >=4 cores@."

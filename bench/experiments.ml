@@ -52,7 +52,6 @@ let register () =
     E_agg.e25;
   Harness.register "E26" "repair scheduling: full sweep vs incremental"
     E_scale.e26;
-  Harness.register "E27" "domain-parallel round execution" E_scale.e27;
   Harness.register "E28" "heartbeat failure detection: latency and overhead"
     E_fd.e28;
   Harness.register "E29" "rendezvous forest: per-root load vs shard count"

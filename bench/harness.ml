@@ -27,8 +27,7 @@ let now () = Sim.Clock.now ()
 (* Monotonic wall clock for build/stabilize timings. [Sys.time] is
    {e CPU} time and saturates coarsely on some platforms, and
    [Unix.gettimeofday] can step backwards under NTP adjustment —
-   phase timings and the E27 speedup ratios must come from a clock
-   that only moves forward. *)
+   phase timings must come from a clock that only moves forward. *)
 
 (* Build an overlay from a subscription workload and stabilize it.
    [transport] defaults to the engine's [Inproc]; the wire transport

@@ -85,27 +85,6 @@ let tests () =
     Test.make ~name:"drtree invariant check (N=256)"
       (Staged.stage (fun () -> ignore (Drtree.Invariant.check ov)))
   in
-  (* Domain-parallel round execution (DESIGN.md §12): the bare
-     Pool.run barrier round-trip (the per-parallel-section floor), and
-     stabilize_round on a domains=4 overlay — audit sharding plus the
-     telemetry merge end-to-end, against the sequential
-     stabilize_round above. *)
-  let pool4 = Sim.Pool.get ~domains:4 in
-  let t_pool_barrier =
-    Test.make ~name:"pool run barrier (4 domains, no-op)"
-      (Staged.stage (fun () -> Sim.Pool.run pool4 (fun _ -> ())))
-  in
-  let ov4 =
-    let cfg = Drtree.Config.make ~domains:4 () in
-    let o = O.create ~cfg ~seed:3 () in
-    Array.iter (fun r -> ignore (O.join o r)) (Array.sub rects 0 256);
-    ignore (O.stabilize ~legal:Drtree.Invariant.is_legal o);
-    o
-  in
-  let t_stab_round4 =
-    Test.make ~name:"drtree stabilize_round (N=256, 4 domains)"
-      (Staged.stage (fun () -> O.stabilize_round ov4))
-  in
   (* Flat state layout (DESIGN.md §11): per-height level access on a
      mid-tree instance, the dirty-queue mark, and the intern table that
      backs the store's dense indexing. *)
@@ -202,8 +181,6 @@ let tests () =
     t_publish;
     t_stab_round;
     t_invariant;
-    t_pool_barrier;
-    t_stab_round4;
     t_state_get;
     t_state_set;
     t_mark;

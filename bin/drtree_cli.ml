@@ -17,6 +17,7 @@
      drtree_cli export -n 64 --format dot
      drtree_cli aggregate -n 256 --fn sum --tct 2 --epochs 20
      drtree_cli fuzz --traces 500 --drop 0.1
+     drtree_cli fuzz --traces 500 --differential layout
      drtree_cli fuzz --replay repro/counterexample-42.trace *)
 
 module O = Drtree.Overlay
@@ -80,118 +81,8 @@ let to_transport = function
 
 (* --- Overlay-mode flags -------------------------------------------------------
 
-   One table row per overlay-mode knob. The build-side commands and the
-   fuzz command both render their --<flag> help from the same row
-   ([build_doc] / [fuzz_doc]) so the two sides cannot drift: the value
-   vocabulary is shared verbatim, and the fuzz rendering appends the
-   flag's differential clause and its replay semantics. *)
-
-type mode_flag = {
-  mf_what : string;  (* prose subject, e.g. "Repair scheduler" *)
-  mf_values : string;  (* value vocabulary, shared by both renderings *)
-  mf_build_note : string option;  (* extra build-side sentence *)
-  mf_diff : string option;  (* what the fuzz differential mode asserts *)
-  mf_fuzz_note : string;  (* fuzz trailing sentence: replay semantics *)
-}
-
-let bitwise_diff =
-  "require bit-identical verdicts, final shapes and telemetry/byte counters"
-
-let scheduler_flag =
-  {
-    mf_what = "Repair scheduler";
-    mf_values =
-      "full (every module at every height each round) or incremental (drain \
-       the dirty set plus a background scan lane)";
-    mf_build_note = None;
-    mf_diff =
-      Some
-        "run every trace under both schedulers and require verdict (and, on \
-         clean FIFO traces, final-shape) agreement";
-    mf_fuzz_note = "Replayed traces carry their own scheduler directive.";
-  }
-
-let layout_flag =
-  {
-    mf_what = "State-store layout";
-    mf_values =
-      "flat (contiguous arrays over an int-interned id space) or hashed (the \
-       original per-process hashtables; the layout-differential baseline)";
-    mf_build_note = None;
-    mf_diff = Some ("run every trace under both layouts and " ^ bitwise_diff);
-    mf_fuzz_note = "Replayed traces carry their own layout directive.";
-  }
-
-let detector_flag =
-  {
-    mf_what = "Failure detector";
-    mf_values =
-      "oracle (crashes are known — the paper's model and the bit-identical \
-       default) or heartbeat[:PERIOD:TIMEOUT:K] (each process heartbeats its \
-       tree neighbors plus K fallback-ring contacts every PERIOD time units; \
-       a peer silent for TIMEOUT periods is suspected, challenged, and after \
-       one more silent period confirmed dead and evicted locally; \
-       $(b,heartbeat) alone means heartbeat:1:3:2)";
-    mf_build_note = None;
-    mf_diff = None;
-    mf_fuzz_note =
-      "Heartbeat traces inject crashes silently — nobody is told — and \
-       additionally assert crash convergence: every victim confirmed dead by \
-       its monitors, and zero false kills on clean traces. Replayed traces \
-       carry their own detector directive.";
-  }
-
-let domains_flag =
-  {
-    mf_what = "Worker domains";
-    mf_values = "a worker-domain count (1 = sequential)";
-    mf_build_note =
-      Some
-        "Any count produces bit-identical results — the parallel round \
-         sections are read-only audits plus order-preserving merges \
-         ($(b,fuzz --domains differential) proves it) — so this knob only \
-         changes wall-clock.";
-    mf_diff = Some ("run every trace at 1, 2 and 4 domains and " ^ bitwise_diff);
-    mf_fuzz_note =
-      "Not a trace field: replayed traces run at whatever count this option \
-       gives.";
-  }
-
-let forest_flag =
-  {
-    mf_what = "Rendezvous forest";
-    mf_values =
-      "single (one global DR-tree — the paper's model and the bit-identical \
-       default) or a shard count N (Z-order-partition the space into N \
-       independent DR-trees, each with its own designated root, election \
-       scope and repair sweep; events fan out to every other shard root \
-       whose MBR contains them)";
-    mf_build_note = None;
-    mf_diff =
-      Some ("run every trace under single and sharded:1 and " ^ bitwise_diff);
-    mf_fuzz_note = "Replayed traces carry their own forest directive.";
-  }
-
-let build_doc f =
-  Printf.sprintf "%s: %s.%s" f.mf_what f.mf_values
-    (match f.mf_build_note with None -> "" | Some n -> " " ^ n)
-
-let fuzz_doc f =
-  Printf.sprintf "%s for generated traces: %s%s. %s" f.mf_what f.mf_values
-    (match f.mf_diff with
-    | None -> ""
-    | Some d -> ", or differential — " ^ d)
-    f.mf_fuzz_note
-
-let make_cfg ?(scheduler = Cfg.Full_sweep) ?(layout = Cfg.Flat) ?(domains = 1)
-    ?(detector = Cfg.Oracle) ?(forest = Cfg.Single) min_fill max_fill split =
-  if domains < 1 || domains > Sim.Pool.max_domains then begin
-    Format.eprintf "drtree_cli: --domains must lie in 1..%d@."
-      Sim.Pool.max_domains;
-    exit 124
-  end;
-  Cfg.make ~min_fill ~max_fill ~split ~scheduler ~layout ~domains ~detector
-    ~forest ()
+   Shared by the build-side commands and fuzz, where they configure the
+   generated traces. *)
 
 let scheduler_t =
   Arg.(
@@ -199,35 +90,42 @@ let scheduler_t =
     & opt
         (enum [ ("full", Cfg.Full_sweep); ("incremental", Cfg.Incremental) ])
         Cfg.Full_sweep
-    & info [ "scheduler" ] ~docv:"KIND" ~doc:(build_doc scheduler_flag))
+    & info [ "scheduler" ] ~docv:"KIND"
+        ~doc:
+          "Repair scheduler: full (every module at every height each round) \
+           or incremental (drain the dirty set plus a background scan lane).")
 
 let layout_t =
   Arg.(
     value
     & opt (enum [ ("hashed", Cfg.Hashed); ("flat", Cfg.Flat) ]) Cfg.Flat
-    & info [ "layout" ] ~docv:"KIND" ~doc:(build_doc layout_flag))
+    & info [ "layout" ] ~docv:"KIND"
+        ~doc:
+          "State-store layout: flat (contiguous arrays over an int-interned \
+           id space) or hashed (the original per-process hashtables; the \
+           reference of the layout differential).")
 
-let detector_conv =
+let detector_t =
   let parse s =
     match Cfg.detector_of_string s with
     | Ok d -> Ok d
     | Error e -> Error (`Msg e)
   in
   let print ppf d = Format.pp_print_string ppf (Cfg.detector_to_string d) in
-  Arg.conv ~docv:"KIND" (parse, print)
-
-let detector_t =
   Arg.(
     value
-    & opt detector_conv Cfg.Oracle
-    & info [ "detector" ] ~docv:"KIND" ~doc:(build_doc detector_flag))
+    & opt (conv ~docv:"KIND" (parse, print)) Cfg.Oracle
+    & info [ "detector" ] ~docv:"KIND"
+        ~doc:
+          "Failure detector: oracle (crashes are known — the paper's model \
+           and the bit-identical default) or heartbeat[:PERIOD:TIMEOUT:K] \
+           (each process heartbeats its tree neighbors plus K fallback-ring \
+           contacts every PERIOD time units; a peer silent for TIMEOUT \
+           periods is suspected, challenged, and after one more silent \
+           period confirmed dead and evicted locally; $(b,heartbeat) alone \
+           means heartbeat:1:3:2).")
 
-let domains_t =
-  Arg.(
-    value & opt int 1
-    & info [ "domains" ] ~docv:"N" ~doc:(build_doc domains_flag))
-
-let forest_conv =
+let forest_t =
   (* Accept "single", "sharded:K", or a bare shard count K. *)
   let parse s =
     let canonical =
@@ -240,13 +138,17 @@ let forest_conv =
     | Error e -> Error (`Msg e)
   in
   let print ppf f = Format.pp_print_string ppf (Cfg.forest_to_string f) in
-  Arg.conv ~docv:"KIND" (parse, print)
-
-let forest_t =
   Arg.(
     value
-    & opt forest_conv Cfg.Single
-    & info [ "forest" ] ~docv:"KIND" ~doc:(build_doc forest_flag))
+    & opt (conv ~docv:"KIND" (parse, print)) Cfg.Single
+    & info [ "forest" ] ~docv:"KIND"
+        ~doc:
+          "Rendezvous forest: single (one global DR-tree — the paper's model \
+           and the bit-identical default) or a shard count N \
+           (Z-order-partition the space into N independent DR-trees, each \
+           with its own designated root, election scope and repair sweep; \
+           events fan out to every other shard root whose MBR contains \
+           them).")
 
 let build_overlay ~cfg ~transport ~seed ~n ~workload =
   let rng = Rng.make (seed * 31) in
@@ -284,10 +186,10 @@ let print_shape ov =
 
 let build_cmd =
   let run seed n workload min_fill max_fill split transport scheduler layout
-      domains detector forest =
+      detector forest =
     let cfg =
-      make_cfg ~scheduler ~layout ~domains ~detector ~forest min_fill max_fill
-        split
+      Cfg.make ~min_fill ~max_fill ~split ~scheduler ~layout ~detector ~forest
+        ()
     in
     let ov, _ = build_overlay ~cfg ~transport ~seed ~n ~workload in
     Format.printf "config: %a@." Cfg.pp cfg;
@@ -322,8 +224,8 @@ let build_cmd =
   Cmd.v (Cmd.info "build" ~doc:"Build an overlay and print its shape.")
     Term.(
       const run $ seed_t $ size_t $ workload_t $ min_fill_t $ max_fill_t
-      $ split_t $ transport_t $ scheduler_t $ layout_t $ domains_t
-      $ detector_t $ forest_t)
+      $ split_t $ transport_t $ scheduler_t $ layout_t $ detector_t
+      $ forest_t)
 
 (* --- publish ----------------------------------------------------------------- *)
 
@@ -339,7 +241,7 @@ let publish_cmd =
   in
   let run seed n workload min_fill max_fill split transport scheduler events
       event_workload =
-    let cfg = make_cfg ~scheduler min_fill max_fill split in
+    let cfg = Cfg.make ~min_fill ~max_fill ~split ~scheduler () in
     let ov, rng = build_overlay ~cfg ~transport ~seed ~n ~workload in
     let rects =
       List.filter_map
@@ -393,7 +295,7 @@ let churn_cmd =
   in
   let run seed n workload min_fill max_fill split transport scheduler crash
       corrupt leave =
-    let cfg = make_cfg ~scheduler min_fill max_fill split in
+    let cfg = Cfg.make ~min_fill ~max_fill ~split ~scheduler () in
     let ov, rng = build_overlay ~cfg ~transport ~seed ~n ~workload in
     Printf.printf "before faults:\n";
     print_shape ov;
@@ -427,7 +329,7 @@ let churn_cmd =
 
 let inspect_cmd =
   let run seed n workload min_fill max_fill split transport scheduler =
-    let cfg = make_cfg ~scheduler min_fill max_fill split in
+    let cfg = Cfg.make ~min_fill ~max_fill ~split ~scheduler () in
     let ov, _ = build_overlay ~cfg ~transport ~seed ~n ~workload in
     print_shape ov;
     Printf.printf "\n";
@@ -482,7 +384,7 @@ let export_cmd =
           ~doc:"Output format: dot, ascii, edges or svg.")
   in
   let run seed n workload min_fill max_fill split transport scheduler format =
-    let cfg = make_cfg ~scheduler min_fill max_fill split in
+    let cfg = Cfg.make ~min_fill ~max_fill ~split ~scheduler () in
     let ov, _ = build_overlay ~cfg ~transport ~seed ~n ~workload in
     match format with
     | `Dot -> print_string (Drtree.Export.to_dot ov)
@@ -535,9 +437,9 @@ let aggregate_cmd =
       & opt (t4 ~sep:',' float float float float) (0.0, 0.0, 100.0, 100.0)
       & info [ "rect" ] ~docv:"X0,Y0,X1,Y1" ~doc:"Query rectangle.")
   in
-  let run seed n workload min_fill max_fill split transport scheduler domains
-      forest fn tct epochs (x0, y0, x1, y1) =
-    let cfg = make_cfg ~scheduler ~domains ~forest min_fill max_fill split in
+  let run seed n workload min_fill max_fill split transport scheduler forest fn
+      tct epochs (x0, y0, x1, y1) =
+    let cfg = Cfg.make ~min_fill ~max_fill ~split ~scheduler ~forest () in
     let ov, rng = build_overlay ~cfg ~transport ~seed ~n ~workload in
     print_shape ov;
     let rt = Agg.Runtime.attach ov in
@@ -639,8 +541,8 @@ let aggregate_cmd =
           aggregation) over epochs of synthetic readings.")
     Term.(
       const run $ seed_t $ size_t $ workload_t $ min_fill_t $ max_fill_t
-      $ split_t $ transport_t $ scheduler_t $ domains_t $ forest_t $ fn_t
-      $ tct_t $ epochs_t $ rect_t)
+      $ split_t $ transport_t $ scheduler_t $ forest_t $ fn_t $ tct_t
+      $ epochs_t $ rect_t)
 
 (* --- fuzz -------------------------------------------------------------------- *)
 
@@ -699,7 +601,7 @@ let fuzz_cmd =
     Arg.(
       value & opt string "repro"
       & info [ "out" ] ~docv:"DIR"
-          ~doc:"Directory for shrunk counterexample traces.")
+          ~doc:"Directory for saved counterexample traces.")
   in
   let replay_t =
     Arg.(
@@ -722,118 +624,33 @@ let fuzz_cmd =
       & info [ "probes" ] ~docv:"COUNT"
           ~doc:"Oracle probe publications at the end of each trace.")
   in
-  let fuzz_transport_t =
+  let differential_t =
+    let axis_doc (ax : Mck.Fuzz.axis) =
+      Printf.sprintf "$(b,%s) (%s: %s)" ax.name
+        (String.concat " vs " (List.map fst ax.variants))
+        (match ax.standard with
+        | Mck.Fuzz.Exact ->
+            "bit-identical verdicts, final shapes and telemetry/byte counters"
+        | Mck.Fuzz.Verdict_legality ->
+            "verdicts agree, and on clean FIFO traces final size and \
+             legality too")
+    in
     Arg.(
       value
       & opt
-          (enum [ ("inproc", Mck.Trace.Inproc); ("wire", Mck.Trace.Wire) ])
-          Mck.Trace.Inproc
-      & info [ "transport" ] ~docv:"KIND"
+          (some
+             (enum (List.map (fun ax -> (ax.Mck.Fuzz.name, ax)) Mck.Fuzz.axes)))
+          None
+      & info [ "differential" ] ~docv:"AXIS"
           ~doc:
-            "Transport for generated traces: inproc or wire (every message \
-             through the binary codec; a decode failure is a \
-             counterexample). Replayed traces carry their own transport \
-             directive.")
-  in
-  let fuzz_scheduler_t =
-    Arg.(
-      value
-      & opt
-          (enum
-             [ ("full", `Full); ("incremental", `Incremental);
-               ("differential", `Differential) ])
-          `Full
-      & info [ "scheduler" ] ~docv:"KIND" ~doc:(fuzz_doc scheduler_flag))
-  in
-  let fuzz_layout_t =
-    Arg.(
-      value
-      & opt
-          (enum
-             [ ("hashed", `Hashed); ("flat", `Flat);
-               ("differential", `Differential) ])
-          `Flat
-      & info [ "layout" ] ~docv:"KIND" ~doc:(fuzz_doc layout_flag))
-  in
-  let fuzz_detector_t =
-    Arg.(
-      value
-      & opt detector_conv Cfg.Oracle
-      & info [ "detector" ] ~docv:"KIND" ~doc:(fuzz_doc detector_flag))
-  in
-  let fuzz_domains_t =
-    let parse = function
-      | "differential" -> Ok `Differential
-      | s -> (
-          match int_of_string_opt s with
-          | Some n when n >= 1 && n <= Sim.Pool.max_domains -> Ok (`N n)
-          | Some _ | None ->
-              Error
-                (`Msg
-                   (Printf.sprintf
-                      "expected a domain count in 1..%d or \"differential\""
-                      Sim.Pool.max_domains)))
-    in
-    let print ppf = function
-      | `N n -> Format.pp_print_int ppf n
-      | `Differential -> Format.pp_print_string ppf "differential"
-    in
-    Arg.(
-      value
-      & opt (conv ~docv:"N" (parse, print)) (`N 1)
-      & info [ "domains" ] ~docv:"N" ~doc:(fuzz_doc domains_flag))
-  in
-  let fuzz_forest_t =
-    let parse = function
-      | "differential" -> Ok `Differential
-      | s -> (
-          match Arg.conv_parser forest_conv s with
-          | Ok f -> Ok (`F f)
-          | Error (`Msg e) -> Error (`Msg e))
-    in
-    let print ppf = function
-      | `F f -> Format.pp_print_string ppf (Cfg.forest_to_string f)
-      | `Differential -> Format.pp_print_string ppf "differential"
-    in
-    Arg.(
-      value
-      & opt (conv ~docv:"KIND" (parse, print)) (`F Cfg.Single)
-      & info [ "forest" ] ~docv:"KIND" ~doc:(fuzz_doc forest_flag))
-  in
-  let replay ~domains ~forest file =
-    match Mck.Trace.load file with
-    | Error e ->
-        Printf.eprintf "cannot load %s: %s\n" file e;
-        exit 2
-    | Ok tr -> (
-        Format.printf "replaying %s:@.%a@." file Mck.Trace.pp tr;
-        match (forest, domains) with
-        | `Differential, `Differential ->
-            Format.eprintf
-              "fuzz: --forest differential and --domains differential cannot \
-               be combined on a replay@.";
-            exit 124
-        | `Differential, `N domains -> (
-            match Mck.Fuzz.run_forest_differential ~domains tr with
-            | Ok _ -> print_endline "trace passes: forest-identical"
-            | Error e ->
-                Printf.printf "reproduced: %s\n" e;
-                exit 1)
-        | `F _, `Differential -> (
-            match Mck.Fuzz.run_domains_differential tr with
-            | Ok _ -> print_endline "trace passes: domain-identical"
-            | Error e ->
-                Printf.printf "reproduced: %s\n" e;
-                exit 1)
-        | `F _, `N domains -> (
-            match Mck.Fuzz.run_trace ~domains tr with
-            | Mck.Fuzz.Passed -> print_endline "trace passes: no violation"
-            | Mck.Fuzz.Failed f ->
-                Format.printf "reproduced: %a@." Mck.Fuzz.pp_failure f;
-                exit 1))
+            (Printf.sprintf
+               "Run every generated or replayed trace under each variant of \
+                AXIS, overriding that field of the trace, and compare the \
+                runs: %s. A divergence is saved unshrunk as AXIS-SEED.trace."
+               (String.concat ", " (List.map axis_doc Mck.Fuzz.axes))))
   in
   let run seed traces ops nodes mode sched drop dup max_seconds out replay_file
-      plant probes transport scheduler layout detector domains forest =
+      plant probes transport scheduler layout detector forest differential =
     if not (drop >= 0.0 && drop < 1.0 && dup >= 0.0 && dup < 1.0) then begin
       Format.eprintf "fuzz: --drop and --dup must lie in [0, 1)@.";
       exit 124
@@ -842,8 +659,33 @@ let fuzz_cmd =
       Format.eprintf "fuzz: --drop + --dup must be < 1@.";
       exit 124
     end;
+    let label =
+      match differential with
+      | Some axis -> " the " ^ axis.Mck.Fuzz.name ^ " differential"
+      | None -> ""
+    in
+    let check tr =
+      match differential with
+      | Some axis -> Mck.Fuzz.differential ~probes axis tr
+      | None -> (
+          match Mck.Fuzz.run_trace ~probes tr with
+          | Mck.Fuzz.Passed -> Ok ()
+          | Mck.Fuzz.Failed f ->
+              Error (Format.asprintf "%a" Mck.Fuzz.pp_failure f))
+    in
     match replay_file with
-    | Some file -> replay ~domains ~forest file
+    | Some file -> (
+        match Mck.Trace.load file with
+        | Error e ->
+            Printf.eprintf "cannot load %s: %s\n" file e;
+            exit 2
+        | Ok tr -> (
+            Format.printf "replaying %s:@.%a@." file Mck.Trace.pp tr;
+            match check tr with
+            | Ok () -> Printf.printf "trace passes%s: no violation\n" label
+            | Error e ->
+                Printf.printf "reproduced: %s\n" e;
+                exit 1))
     | None -> (
         let modes =
           match mode with
@@ -854,6 +696,11 @@ let fuzz_cmd =
         let scheds =
           match sched with `All -> Mck.Schedule.all_kinds | `Kind k -> [ k ]
         in
+        let transport =
+          match transport with
+          | `Inproc -> Mck.Trace.Inproc
+          | `Wire -> Mck.Trace.Wire
+        in
         let deadline =
           if max_seconds > 0.0 then Some (Unix.gettimeofday () +. max_seconds)
           else None
@@ -863,296 +710,87 @@ let fuzz_cmd =
           | Some d -> Unix.gettimeofday () > d
           | None -> false
         in
-        let save_trace prefix (tr : Mck.Trace.t) =
-          if not (Sys.file_exists out) then Sys.mkdir out 0o755;
-          let file =
-            Filename.concat out
-              (Printf.sprintf "%s-%d.trace" prefix tr.Mck.Trace.seed)
-          in
-          Mck.Trace.save file tr;
-          file
-        in
-        let total = ref 0 in
-        if scheduler = `Differential && layout = `Differential then begin
-          Format.eprintf
-            "fuzz: --scheduler differential and --layout differential cannot \
-             be combined (run them as two passes)@.";
-          exit 124
-        end;
-        if
-          domains = `Differential
-          && (scheduler = `Differential || layout = `Differential)
-        then begin
-          Format.eprintf
-            "fuzz: --domains differential cannot be combined with another \
-             differential mode (run them as separate passes)@.";
-          exit 124
-        end;
-        if
-          forest = `Differential
-          && (scheduler = `Differential || layout = `Differential
-             || domains = `Differential)
-        then begin
-          Format.eprintf
-            "fuzz: --forest differential cannot be combined with another \
-             differential mode (run them as separate passes)@.";
-          exit 124
-        end;
-        let trace_layout =
-          match layout with
-          | `Hashed -> Drtree.Config.Hashed
-          | `Flat | `Differential -> Drtree.Config.Flat
-        in
-        let trace_forest =
-          match forest with
-          | `F f -> f
-          | `Differential -> Drtree.Config.Single
-        in
-        match forest with
-        | `Differential -> (
-            (* Every generated trace runs under both forest realizations
-               — [Single] and [Sharded {shards = 1}]; any divergence at
-               all — verdict, shape, or a single counter — is a
-               rendezvous-abstraction bug and the counterexample (saved
-               unshrunk, like the layout differential). *)
-            let trace_scheduler =
-              match scheduler with
-              | `Incremental -> Drtree.Config.Incremental
-              | `Full | `Differential -> Drtree.Config.Full_sweep
-            in
-            let run_domains =
-              match domains with `N d -> d | `Differential -> 1
-            in
-            let failed = ref None in
+        let passed = ref 0 and failed = ref None in
+        List.iteri
+          (fun mi m ->
             List.iteri
-              (fun mi m ->
-                List.iteri
-                  (fun si sk ->
-                    if !failed = None && not (stop ()) then begin
-                      let rng = Rng.make (seed + (1000 * mi) + (100 * si)) in
-                      let i = ref 0 in
-                      while !i < traces && !failed = None && not (stop ()) do
-                        let tr =
-                          Mck.Fuzz.random_trace rng ~nodes ~ops ~mode:m
-                            ~transport ~sched:sk ~drop ~dup
-                            ~cover_sweep:(not plant)
-                            ~scheduler:trace_scheduler ~layout:trace_layout
-                            ~detector ~forest:trace_forest ()
-                        in
-                        (match
-                           Mck.Fuzz.run_forest_differential ~probes
-                             ~domains:run_domains tr
-                         with
-                        | Ok _ -> incr total
-                        | Error e -> failed := Some (tr, e));
-                        incr i
-                      done
-                    end)
-                  scheds)
-              modes;
-            match !failed with
-            | None ->
-                Printf.printf "fuzz: %d trace(s) forest-identical%s\n" !total
-                  (if stop () then " (time cap reached)" else "")
-            | Some (tr, e) ->
-                Format.printf "forest differential FAILED: %s@.%a@." e
-                  Mck.Trace.pp tr;
-                let file = save_trace "forest" tr in
-                Printf.printf "saved %s\n" file;
-                exit 1)
-        | `F _ -> (
-        match (domains, layout, scheduler) with
-        | `Differential, _, _ -> (
-            (* Every generated trace runs at 1, 2 and 4 domains; any
-               divergence at all — verdict, shape, or a single counter
-               — is a parallelism bug and the counterexample (saved
-               unshrunk, like the layout differential). *)
-            let trace_scheduler =
-              match scheduler with
-              | `Incremental -> Drtree.Config.Incremental
-              | `Full | `Differential -> Drtree.Config.Full_sweep
+              (fun si sk ->
+                let rng = Rng.make (seed + (1000 * mi) + (100 * si)) in
+                let i = ref 0 in
+                while !i < traces && !failed = None && not (stop ()) do
+                  let tr =
+                    Mck.Fuzz.random_trace rng ~nodes ~ops ~mode:m ~transport
+                      ~sched:sk ~drop ~dup ~cover_sweep:(not plant) ~scheduler
+                      ~layout ~detector ~forest ()
+                  in
+                  (match check tr with
+                  | Ok () -> incr passed
+                  | Error e -> failed := Some (!i, tr, e));
+                  incr i
+                done)
+              scheds)
+          modes;
+        match !failed with
+        | None ->
+            Printf.printf "fuzz: %d trace(s) passed%s%s\n" !passed label
+              (if stop () then " (time cap reached)" else "")
+        | Some (i, tr, e) ->
+            let save prefix (tr : Mck.Trace.t) =
+              if not (Sys.file_exists out) then Sys.mkdir out 0o755;
+              let file =
+                Filename.concat out
+                  (Printf.sprintf "%s-%d.trace" prefix tr.Mck.Trace.seed)
+              in
+              Mck.Trace.save file tr;
+              file
             in
-            let failed = ref None in
-            List.iteri
-              (fun mi m ->
-                List.iteri
-                  (fun si sk ->
-                    if !failed = None && not (stop ()) then begin
-                      let rng = Rng.make (seed + (1000 * mi) + (100 * si)) in
-                      let i = ref 0 in
-                      while !i < traces && !failed = None && not (stop ()) do
-                        let tr =
-                          Mck.Fuzz.random_trace rng ~nodes ~ops ~mode:m
-                            ~transport ~sched:sk ~drop ~dup
-                            ~cover_sweep:(not plant)
-                            ~scheduler:trace_scheduler ~layout:trace_layout
-                            ~detector ~forest:trace_forest ()
-                        in
-                        (match Mck.Fuzz.run_domains_differential ~probes tr with
-                        | Ok _ -> incr total
-                        | Error e -> failed := Some (tr, e));
-                        incr i
-                      done
-                    end)
-                  scheds)
-              modes;
-            match !failed with
-            | None ->
-                Printf.printf "fuzz: %d trace(s) domain-identical%s\n" !total
-                  (if stop () then " (time cap reached)" else "")
-            | Some (tr, e) ->
-                Format.printf "domains differential FAILED: %s@.%a@." e
-                  Mck.Trace.pp tr;
-                let file = save_trace "domains" tr in
-                Printf.printf "saved %s\n" file;
-                exit 1)
-        | `N domains, layout, scheduler -> (
-            match (layout, scheduler) with
-        | `Differential, (`Full | `Incremental) -> (
-            (* Every generated trace runs under both layouts; any
-               divergence at all — verdict, shape, or a single counter
-               — is the counterexample (saved unshrunk, like the
-               scheduler differential). *)
-            let trace_scheduler =
-              match scheduler with
-              | `Incremental -> Drtree.Config.Incremental
-              | `Full | `Differential -> Drtree.Config.Full_sweep
+            let file, flag =
+              match differential with
+              | Some axis ->
+                  (* Saved unshrunk: the shrinker minimizes single-run
+                     failures. *)
+                  Format.printf "%s differential FAILED: %s@.%a@." axis.name e
+                    Mck.Trace.pp tr;
+                  (save axis.name tr, " --differential " ^ axis.name)
+              | None ->
+                  Format.printf "trace %d FAILED at %s@." i e;
+                  let small, sf = Mck.Shrink.shrink ~probes tr in
+                  Format.printf
+                    "shrunk to %d prelude join(s) + %d op(s), failing at \
+                     %a:@.%a@."
+                    (List.length small.Mck.Trace.prelude)
+                    (List.length small.Mck.Trace.ops)
+                    Mck.Fuzz.pp_failure sf Mck.Trace.pp small;
+                  (save "counterexample" small, "")
             in
-            let failed = ref None in
-            List.iteri
-              (fun mi m ->
-                List.iteri
-                  (fun si sk ->
-                    if !failed = None && not (stop ()) then begin
-                      let rng = Rng.make (seed + (1000 * mi) + (100 * si)) in
-                      let i = ref 0 in
-                      while !i < traces && !failed = None && not (stop ()) do
-                        let tr =
-                          Mck.Fuzz.random_trace rng ~nodes ~ops ~mode:m
-                            ~transport ~sched:sk ~drop ~dup
-                            ~cover_sweep:(not plant)
-                            ~scheduler:trace_scheduler ~detector ~forest:trace_forest ()
-                        in
-                        (match
-                           Mck.Fuzz.run_layout_differential ~probes ~domains tr
-                         with
-                        | Ok _ -> incr total
-                        | Error e -> failed := Some (tr, e));
-                        incr i
-                      done
-                    end)
-                  scheds)
-              modes;
-            match !failed with
-            | None ->
-                Printf.printf "fuzz: %d trace(s) layout-identical%s\n" !total
-                  (if stop () then " (time cap reached)" else "")
-            | Some (tr, e) ->
-                Format.printf "layout differential FAILED: %s@.%a@." e
-                  Mck.Trace.pp tr;
-                let file = save_trace "layout" tr in
-                Printf.printf "saved %s\n" file;
-                exit 1)
-        | _, `Differential -> (
-            (* Every generated trace runs under both schedulers; a
-               verdict or strict-shape disagreement is the
-               counterexample (saved unshrunk — the shrinker minimizes
-               single-run failures). *)
-            let failed = ref None in
-            List.iteri
-              (fun mi m ->
-                List.iteri
-                  (fun si sk ->
-                    if !failed = None && not (stop ()) then begin
-                      let rng = Rng.make (seed + (1000 * mi) + (100 * si)) in
-                      let i = ref 0 in
-                      while !i < traces && !failed = None && not (stop ()) do
-                        let tr =
-                          Mck.Fuzz.random_trace rng ~nodes ~ops ~mode:m
-                            ~transport ~sched:sk ~drop ~dup
-                            ~cover_sweep:(not plant) ~layout:trace_layout
-                            ~detector ~forest:trace_forest ()
-                        in
-                        (match
-                           Mck.Fuzz.run_scheduler_differential ~probes ~domains
-                             tr
-                         with
-                        | Ok _ -> incr total
-                        | Error e -> failed := Some (tr, e));
-                        incr i
-                      done
-                    end)
-                  scheds)
-              modes;
-            match !failed with
-            | None ->
-                Printf.printf "fuzz: %d trace(s) scheduler-equivalent%s\n"
-                  !total
-                  (if stop () then " (time cap reached)" else "")
-            | Some (tr, e) ->
-                Format.printf "scheduler differential FAILED: %s@.%a@." e
-                  Mck.Trace.pp tr;
-                let file = save_trace "differential" tr in
-                Printf.printf "saved %s\n" file;
-                exit 1)
-        | (`Hashed | `Flat), ((`Full | `Incremental) as s) -> (
-            let trace_scheduler =
-              match s with
-              | `Full -> Drtree.Config.Full_sweep
-              | `Incremental -> Drtree.Config.Incremental
-            in
-            let found = ref None in
-            List.iteri
-              (fun mi m ->
-                List.iteri
-                  (fun si sk ->
-                    if !found = None && not (stop ()) then begin
-                      let rng = Rng.make (seed + (1000 * mi) + (100 * si)) in
-                      let gen _ =
-                        Mck.Fuzz.random_trace rng ~nodes ~ops ~mode:m
-                          ~transport ~sched:sk ~drop ~dup
-                          ~cover_sweep:(not plant)
-                          ~scheduler:trace_scheduler ~layout:trace_layout
-                          ~detector ~forest:trace_forest ()
-                      in
-                      match
-                        Mck.Fuzz.fuzz ~probes ~domains ~stop
-                          ~on_trace:(fun _ _ _ -> incr total)
-                          ~traces ~gen ()
-                      with
-                      | None -> ()
-                      | Some (i, tr, f) -> found := Some (i, tr, f)
-                    end)
-                  scheds)
-              modes;
-            match !found with
-            | None ->
-                Printf.printf "fuzz: %d trace(s) passed%s\n" !total
-                  (if stop () then " (time cap reached)" else "")
-            | Some (i, tr, f) ->
-                Format.printf "trace %d FAILED at %a@." i Mck.Fuzz.pp_failure f;
-                let small, sf = Mck.Shrink.shrink ~probes tr in
-                Format.printf
-                  "shrunk to %d prelude join(s) + %d op(s), failing at %a:@.%a@."
-                  (List.length small.Mck.Trace.prelude)
-                  (List.length small.Mck.Trace.ops)
-                  Mck.Fuzz.pp_failure sf Mck.Trace.pp small;
-                let file = save_trace "counterexample" small in
-                Printf.printf
-                  "saved %s\nreplay with: drtree_cli fuzz --replay %s\n" file
-                  file;
-                exit 1))))
+            Printf.printf "saved %s\n" file;
+            Printf.printf "replay with: drtree_cli fuzz --replay %s --probes %d%s\n"
+              file probes flag;
+            exit 1)
   in
   Cmd.v
     (Cmd.info "fuzz"
        ~doc:
          "Adversarial model checking: fuzz operation traces under hostile \
-          schedules, shrink and save counterexamples, replay saved traces.")
+          schedules, shrink and save counterexamples, replay saved traces."
+       ~man:
+         [
+           `S Manpage.s_description;
+           `P
+             "$(b,--transport), $(b,--scheduler), $(b,--layout), \
+              $(b,--detector) and $(b,--forest) configure the generated \
+              traces; a replayed trace carries its own directives. Under \
+              the wire transport a decode failure is a counterexample. \
+              Heartbeat traces inject crashes silently — nobody is told — \
+              and additionally assert crash convergence: every victim \
+              confirmed dead by its monitors, and zero false kills on clean \
+              traces.";
+         ])
     Term.(
       const run $ seed_t $ traces_t $ ops_t $ nodes_t $ mode_t $ sched_t
       $ drop_t $ dup_t $ max_seconds_t $ out_t $ replay_t $ plant_t $ probes_t
-      $ fuzz_transport_t $ fuzz_scheduler_t $ fuzz_layout_t $ fuzz_detector_t
-      $ fuzz_domains_t $ fuzz_forest_t)
+      $ transport_t $ scheduler_t $ layout_t $ detector_t $ forest_t
+      $ differential_t)
 
 let () =
   let doc = "stabilizing peer-to-peer spatial filters (DR-tree)" in

@@ -26,9 +26,6 @@ type net = {
   dirty : Dirty.t;
       (* the incremental scheduler's work queue; every write path marks
          through {!mark} below *)
-  pool : Sim.Pool.t option;
-      (* the domain pool behind [Config.domains > 1]; [None] means the
-         sequential path everywhere (DESIGN.md §12) *)
   rdv : Rendezvous.t;
       (* the rendezvous layer (DESIGN.md §14): which tree of the
          forest a process homes on. [Single] (the default) is the
@@ -105,10 +102,6 @@ let create ?(cfg = Config.default) ?transport ?drop_rate
       snapshots = Hashtbl.create 256;
       tele = Telemetry.create ();
       dirty = Dirty.create ();
-      pool =
-        (if cfg.Config.domains > 1 then
-           Some (Sim.Pool.get ~domains:cfg.Config.domains)
-         else None);
       rdv;
       claimants =
         Array.init (Rendezvous.shards rdv) (fun _ -> Node_id.Table.create 8);
@@ -359,32 +352,12 @@ let neighbors_of sp =
 
 type mode = Direct | Snapshot
 
-(* [probes = None]: neighbor reads go through {!read}, attributed to
-   the ambient [net.executor] and counted in the shared {!Telemetry} —
-   the sequential pass path. [probes = Some c]: reads count into the
-   caller-owned cell instead, with the holder as implicit executor,
-   and touch no shared mutable — the shard-local path of the parallel
-   read-only audits (DESIGN.md §12), where neither [net.executor] nor
-   the telemetry may be written concurrently. *)
-type t = { net : net; self : State.t; mode : mode; probes : int ref option }
+type t = { net : net; self : State.t; mode : mode }
 
-let direct net self = { net; self; mode = Direct; probes = None }
-let snapshot net self = { net; self; mode = Snapshot; probes = None }
-let direct_counted net self ~probes = { net; self; mode = Direct; probes = Some probes }
-let snapshot_counted net self ~probes =
-  { net; self; mode = Snapshot; probes = Some probes }
+let direct net self = { net; self; mode = Direct }
+let snapshot net self = { net; self; mode = Snapshot }
 let self v = v.self
 let network v = v.net
-
-(* Same observable effect as {!read} under [as_executor (self v)]: the
-   probe is recorded before the liveness test, for any target other
-   than the holder. *)
-let view_read v id =
-  match v.probes with
-  | None -> read v.net id
-  | Some c ->
-      if not (Node_id.equal id (State.id v.self)) then incr c;
-      if is_alive v.net id then state v.net id else None
 
 (* The holder's own state is local in both modes. *)
 let member_mbr v h id =
@@ -392,7 +365,7 @@ let member_mbr v h id =
   else
     match v.mode with
     | Direct -> (
-        match view_read v id with
+        match read v.net id with
         | Some s -> State.mbr_at s h
         | None -> None)
     | Snapshot -> snapshot_mbr v.net ~asker:(State.id v.self) h id
@@ -406,7 +379,7 @@ let claims_parent v ~child ~h =
   let p = State.id v.self in
   match v.mode with
   | Direct -> (
-      match view_read v child with
+      match read v.net child with
       | Some sc ->
           State.is_active sc h
           && Node_id.equal (State.level_exn sc h).State.parent p
@@ -425,7 +398,7 @@ let attached_to v ~parent ~h =
   let p = State.id v.self in
   match v.mode with
   | Direct -> (
-      match view_read v parent with
+      match read v.net parent with
       | Some spar ->
           State.is_active spar h
           && Node_id.Set.mem p (State.level_exn spar h).State.children

@@ -29,7 +29,6 @@ type net = {
   snapshots : (Sim.Node_id.t * Sim.Node_id.t, Message.snapshot) Hashtbl.t;
   tele : Telemetry.t;
   dirty : Dirty.t;
-  pool : Sim.Pool.t option;
   rdv : Rendezvous.t;
   claimants : unit Sim.Node_id.Table.t array;
   mutable filters : Sim.Node_id.t Rtree.Tree.t;
@@ -164,9 +163,8 @@ val intersecting_shards : net -> Geometry.Rect.t -> int list
 val merge_owner_shard : net -> Geometry.Rect.t -> int
 (** The merge-owner rule of the forest-wide aggregation plane
     (DESIGN.md §15): the lowest-numbered intersecting shard. A pure
-    function of the grid, so every process — and every layout and
-    domain count — agrees on the owner without coordination; [0]
-    under [Single]. *)
+    function of the grid, so every process — and every layout —
+    agrees on the owner without coordination; [0] under [Single]. *)
 
 (** {2 Direct neighbor reads} *)
 
@@ -204,23 +202,6 @@ val direct : net -> State.t -> t
 val snapshot : net -> State.t -> t
 (** Message-passing observation: only this round's received REPORTs;
     a neighbor without a report is treated as dead. *)
-
-val direct_counted : net -> State.t -> probes:int ref -> t
-(** Like {!direct}, but neighbor reads count into the caller-owned
-    cell instead of the shared {!Telemetry}, with the holder as the
-    implicit executor — the same probes {!direct} would record under
-    [as_executor net (State.id self)], without touching any shared
-    mutable. This is the shard-local observation mode of the parallel
-    read-only audits (DESIGN.md §12): during an audit no domain
-    writes, every read sees start-of-pass state — the explicit
-    read-snapshot/write-local discipline, the same snapshot semantics
-    the message-passing rounds already have — and the counts are
-    merged into {!Telemetry} at the barrier, in shard order. *)
-
-val snapshot_counted : net -> State.t -> probes:int ref -> t
-(** {!snapshot} with the same caller-owned counting as
-    {!direct_counted} (snapshot reads never probe, so the cell stays
-    at zero; the variant exists so audit code is mode-agnostic). *)
 
 val self : t -> State.t
 val network : t -> net

@@ -78,7 +78,6 @@ type t = {
   scan_fraction : float;
   seen_capacity : int;
   layout : layout;
-  domains : int;
   detector : detector;
   forest : forest;
 }
@@ -87,7 +86,7 @@ let default =
   { min_fill = 2; max_fill = 4; split = Rtree.Split.Quadratic;
     oracle = Root_oracle; cover_sweep = true; publish_ttl = 128;
     scheduler = Full_sweep; scan_fraction = 0.05; seen_capacity = 4096;
-    layout = Flat; domains = 1; detector = Oracle; forest = Single }
+    layout = Flat; detector = Oracle; forest = Single }
 
 let make ?(min_fill = default.min_fill) ?(max_fill = default.max_fill)
     ?(split = default.split) ?(oracle = default.oracle)
@@ -96,8 +95,7 @@ let make ?(min_fill = default.min_fill) ?(max_fill = default.max_fill)
     ?(scheduler = default.scheduler)
     ?(scan_fraction = default.scan_fraction)
     ?(seen_capacity = default.seen_capacity)
-    ?(layout = default.layout) ?(domains = default.domains)
-    ?(detector = default.detector) ?(forest = default.forest) () =
+    ?(layout = default.layout) ?(detector = default.detector) ?(forest = default.forest) () =
   if min_fill < 2 then invalid_arg "Drtree.Config.make: min_fill < 2";
   if max_fill < 2 * min_fill then
     invalid_arg "Drtree.Config.make: max_fill < 2 * min_fill";
@@ -106,10 +104,6 @@ let make ?(min_fill = default.min_fill) ?(max_fill = default.max_fill)
     invalid_arg "Drtree.Config.make: scan_fraction outside [0, 1]";
   if seen_capacity < 1 then
     invalid_arg "Drtree.Config.make: seen_capacity < 1";
-  if domains < 1 || domains > Sim.Pool.max_domains then
-    invalid_arg
-      (Printf.sprintf "Drtree.Config.make: domains outside 1..%d"
-         Sim.Pool.max_domains);
   (match detector with
   | Oracle -> ()
   | Heartbeat { period; timeout_factor; fallbacks } ->
@@ -127,10 +121,10 @@ let make ?(min_fill = default.min_fill) ?(max_fill = default.max_fill)
           (Printf.sprintf "Drtree.Config.make: shards outside 1..%d"
              max_shards));
   { min_fill; max_fill; split; oracle; cover_sweep; publish_ttl; scheduler;
-    scan_fraction; seen_capacity; layout; domains; detector; forest }
+    scan_fraction; seen_capacity; layout; detector; forest }
 
 let pp ppf c =
-  Format.fprintf ppf "m=%d M=%d split=%a oracle=%s ttl=%d%s%s%s%s%s%s" c.min_fill
+  Format.fprintf ppf "m=%d M=%d split=%a oracle=%s ttl=%d%s%s%s%s%s" c.min_fill
     c.max_fill Rtree.Split.pp_kind c.split
     (match c.oracle with Root_oracle -> "root" | Random_oracle -> "random")
     c.publish_ttl
@@ -139,7 +133,6 @@ let pp ppf c =
     | Incremental ->
         Printf.sprintf " sched=incremental(scan=%g)" c.scan_fraction)
     (match c.layout with Flat -> "" | Hashed -> " layout=hashed")
-    (if c.domains = 1 then "" else Printf.sprintf " domains=%d" c.domains)
     (match c.detector with
     | Oracle -> ""
     | Heartbeat _ ->

@@ -131,16 +131,6 @@ type t = {
           monotonically increasing and redelivery windows are short
           (one dissemination), so a few thousand suffices. *)
   layout : layout;
-  domains : int;
-      (** Number of shards the round drivers fan the CHECK_* passes,
-          QUERY fan-out, and {!Invariant} sweeps over, on the global
-          {!Sim.Pool} of OCaml 5 domains (DESIGN.md §12). [1] (the
-          default) is the sequential path, untouched. Any value
-          produces bit-identical runs — the parallel sections are
-          read-only audits and order-preserving merges; the
-          domains-differential harness in [lib/mck] enforces exact
-          verdict, shape and fingerprint equality across counts — so
-          the choice is purely a performance knob. *)
   detector : detector;
       (** Departure-detection model. [Oracle] (the default) is the
           paper's known-crash assumption and is bit-identical to the
@@ -157,8 +147,7 @@ type t = {
 val default : t
 (** [m = 2], [M = 4], quadratic split, root oracle, cover sweep on,
     [publish_ttl = 128], full-sweep scheduler, [scan_fraction = 0.05],
-    [seen_capacity = 4096], flat layout, [domains = 1], oracle
-    detector. *)
+    [seen_capacity = 4096], flat layout, oracle detector. *)
 
 val make :
   ?min_fill:int ->
@@ -171,7 +160,6 @@ val make :
   ?scan_fraction:float ->
   ?seen_capacity:int ->
   ?layout:layout ->
-  ?domains:int ->
   ?detector:detector ->
   ?forest:forest ->
   unit ->
@@ -179,9 +167,9 @@ val make :
 (** @raise Invalid_argument if [min_fill < 2],
     [max_fill < 2 * min_fill] ([m >= 2] keeps interior nodes binary
     or wider, matching the R-tree root rule), [publish_ttl < 1],
-    [scan_fraction] outside [0, 1], [seen_capacity < 1], [domains]
-    outside [1 .. Sim.Pool.max_domains], a [Heartbeat] detector
-    with [period <= 0], [timeout_factor < 1] or [fallbacks < 0], or a
-    [Sharded] forest with [shards] outside [1 .. max_shards]. *)
+    [scan_fraction] outside [0, 1], [seen_capacity < 1], a [Heartbeat]
+    detector with [period <= 0], [timeout_factor < 1] or
+    [fallbacks < 0], or a [Sharded] forest with [shards] outside
+    [1 .. max_shards]. *)
 
 val pp : Format.formatter -> t -> unit

@@ -203,36 +203,12 @@ let check ov =
           (fun id -> add (stamp_sh (violation id (-1) "multiple root claimants")))
           cs
   done;
-  (* Per-process structural checks. Under [Config.domains > 1] the
-     sweep shards over contiguous blocks of the sorted live ids:
-     [check_level] only reads, block accumulators are concatenated in
-     block order at the barrier, so the violation list is identical to
-     the sequential sweep's (DESIGN.md §12). *)
-  (match Overlay.pool ov with
-  | Some pool ->
-      let ids = Array.of_list (Overlay.alive_ids ov) in
-      let blocks_n = Sim.Pool.domains pool in
-      let blocks = Sim.Pool.split ~shards:blocks_n (Array.length ids) in
-      let accs = Array.init blocks_n (fun _ -> ref []) in
-      Sim.Pool.run pool (fun block ->
-          let start, stop = blocks.(block) in
-          let acc = accs.(block) in
-          for i = start to stop - 1 do
-            match Overlay.state ov ids.(i) with
-            | Some s ->
-                let add v = acc := stamp ids.(i) v :: !acc in
-                for h = 0 to State.top s do
-                  check_level ~m ~big_m ~read ~add ~pid ~home ids.(i) s h
-                done
-            | None -> ()
-          done);
-      Array.iter (fun acc -> List.iter add (List.rev !acc)) accs
-  | None ->
-      Overlay.iter_states ov (fun p s ->
-          let add v = add (stamp p v) in
-          for h = 0 to State.top s do
-            check_level ~m ~big_m ~read ~add ~pid ~home p s h
-          done));
+  (* Per-process structural checks. *)
+  Overlay.iter_states ov (fun p s ->
+      let add v = add (stamp p v) in
+      for h = 0 to State.top s do
+        check_level ~m ~big_m ~read ~add ~pid ~home p s h
+      done);
   (* Reachability: every live process reachable from its {e own}
      shard's root (skipped for a shard whose root is not unique — the
      claimant violations above already cover it). *)

@@ -278,124 +278,6 @@ let full_equivalent (ov : t) =
       total := !total + (top + 1) + top + (top + 1) + top + max 0 (top - 1));
   !total
 
-(* --- Domain-parallel round sections (DESIGN.md §12) ----------------------- *)
-
-let pool (ov : t) = ov.Access.pool
-
-(* Parallel read-only audit of one local pass: shards sweep contiguous
-   blocks of the plan (canonical order: sorted live ids, or the
-   plan's sorted entries) asking "would this CHECK_* repair
-   anything?", counting probes and execs into shard-local cells. All
-   clean -> commit the counts at the barrier in shard order and skip
-   the pass: a clean sequential pass performs exactly these reads and
-   no observable write, so skipping it is bit-identical. Any instance
-   flagged -> discard the counts and run the sequential pass verbatim
-   over the untouched start-of-pass state (an audit false positive
-   costs time, never exactness). During the audit no domain writes:
-   every read sees start-of-pass state, the read-snapshot/write-local
-   discipline the message-passing rounds already have. *)
-let audit_pass (ov : t) pool ~mode ~plan ~floor ~audit =
-  let entries =
-    match plan with
-    | Full -> Array.of_list (List.map (fun id -> (id, None)) (alive_ids ov))
-    | Entries es -> Array.of_list (List.map (fun (id, hs) -> (id, Some hs)) es)
-  in
-  Array.length entries = 0
-  ||
-  let shards = Sim.Pool.domains pool in
-  let blocks = Sim.Pool.split ~shards (Array.length entries) in
-  let probes = Array.init shards (fun _ -> ref 0) in
-  let execs = Array.make shards 0 in
-  let clean = Array.make shards true in
-  Sim.Pool.run pool (fun shard ->
-      let start, stop = blocks.(shard) in
-      let pr = probes.(shard) in
-      let i = ref start in
-      while clean.(shard) && !i < stop do
-        let id, hs = entries.(!i) in
-        (match Access.state ov id with
-        | Some s when is_alive ov id ->
-            let v =
-              match mode with
-              | `Shared -> Access.direct_counted ov s ~probes:pr
-              | `Mp -> Access.snapshot_counted ov s ~probes:pr
-            in
-            let at h =
-              if clean.(shard) then begin
-                execs.(shard) <- execs.(shard) + 1;
-                if not (audit v h) then clean.(shard) <- false
-              end
-            in
-            (match hs with
-            | None ->
-                for h = floor to State.top s do
-                  at h
-                done
-            | Some hs ->
-                List.iter
-                  (fun h -> if h >= floor && h <= State.top s then at h)
-                  hs)
-        | Some _ | None -> ());
-        incr i
-      done);
-  Array.for_all Fun.id clean
-  && begin
-       let tele = ov.Access.tele in
-       for s = 0 to shards - 1 do
-         Telemetry.record_execs tele execs.(s);
-         Telemetry.record_probes tele !(probes.(s))
-       done;
-       true
-     end
-
-(* Parallel Mp QUERY fan-out: shards read only each plan process's own
-   state ([neighbors_of]) into per-shard outboxes; the main domain
-   drains them in canonical (shard, append) order — the order the
-   sequential loop would have injected in — so the engine's per-message
-   RNG draws and sequence numbers are untouched by the shard count. *)
-let query_phase_par (ov : t) pool plan =
-  let ids =
-    match plan with
-    | Full -> Array.of_list (alive_ids ov)
-    | Entries es -> Array.of_list (List.map fst es)
-  in
-  let shards = Sim.Pool.domains pool in
-  let blocks = Sim.Pool.split ~shards (Array.length ids) in
-  let ob = Sim.Pool.outbox pool in
-  Sim.Pool.run pool (fun shard ->
-      let start, stop = blocks.(shard) in
-      for i = start to stop - 1 do
-        let id = ids.(i) in
-        match state ov id with
-        | Some s when is_alive ov id ->
-            Node_id.Set.iter
-              (fun nb -> Sim.Pool.outbox_add ob ~shard (nb, id))
-              (Access.neighbors_of s)
-        | Some _ | None -> ()
-      done);
-  Sim.Pool.outbox_iter ob (fun (dst, asker) ->
-      Engine.inject ov.Access.engine ~dst (Message.Query { asker }))
-
-(* Parallel [full_equivalent]: shard-local partial sums over the same
-   per-state term, merged in shard order (integer sums — order cannot
-   matter, kept canonical anyway). *)
-let full_equivalent_par (ov : t) pool =
-  let ids = Array.of_list (alive_ids ov) in
-  let shards = Sim.Pool.domains pool in
-  let blocks = Sim.Pool.split ~shards (Array.length ids) in
-  let sums = Array.make shards 0 in
-  Sim.Pool.run pool (fun shard ->
-      let start, stop = blocks.(shard) in
-      for i = start to stop - 1 do
-        match state ov ids.(i) with
-        | Some s ->
-            let top = State.top s in
-            sums.(shard) <-
-              sums.(shard) + (top + 1) + top + (top + 1) + top + max 0 (top - 1)
-        | None -> ()
-      done);
-  Array.fold_left ( + ) 0 sums
-
 (* One stabilization round, either mode. Shared-state rounds run the
    module bodies as atomic actions over live neighbor state (reads
    counted as probes); message-passing rounds first QUERY every
@@ -410,12 +292,8 @@ let round_body (ov : t) ~mode =
   (match ov.Access.fd_round with Some f -> f () | None -> ());
   let plan, queue_depth = round_plan ov in
   let tele = ov.Access.tele in
-  let pool = ov.Access.pool in
   let full_equiv =
-    match (plan, pool) with
-    | Full, _ -> 0
-    | Entries _, Some pool -> full_equivalent_par ov pool
-    | Entries _, None -> full_equivalent ov
+    match plan with Full -> 0 | Entries _ -> full_equivalent ov
   in
   Telemetry.begin_round tele
     ~messages:(Engine.messages_sent ov.Access.engine)
@@ -430,22 +308,19 @@ let round_body (ov : t) ~mode =
   | `Mp ->
       (* Phase 1: every process in the plan queries each of its
          neighbors once. *)
-      (match pool with
-      | Some pool -> query_phase_par ov pool plan
-      | None ->
-          let query id =
-            match state ov id with
-            | Some s when is_alive ov id ->
-                Node_id.Set.iter
-                  (fun nb ->
-                    Engine.inject ov.Access.engine ~dst:nb
-                      (Message.Query { asker = id }))
-                  (Access.neighbors_of s)
-            | Some _ | None -> ()
-          in
-          (match plan with
-          | Full -> List.iter query (alive_ids ov)
-          | Entries es -> List.iter (fun (id, _) -> query id) es));
+      let query id =
+        match state ov id with
+        | Some s when is_alive ov id ->
+            Node_id.Set.iter
+              (fun nb ->
+                Engine.inject ov.Access.engine ~dst:nb
+                  (Message.Query { asker = id }))
+              (Access.neighbors_of s)
+        | Some _ | None -> ()
+      in
+      (match plan with
+      | Full -> List.iter query (alive_ids ov)
+      | Entries es -> List.iter (fun (id, _) -> query id) es);
       run ov);
   let view s =
     match mode with
@@ -464,34 +339,28 @@ let round_body (ov : t) ~mode =
      later passes would catch them this round — interacting repair
      cascades can therefore settle on different, equally legal
      fixpoints; see DESIGN.md §10. *)
-  let local_pass ~floor ~audit check =
-    let clean =
-      match pool with
-      | Some pool -> audit_pass ov pool ~mode ~plan ~floor ~audit
-      | None -> false
-    in
-    if not clean then
-      match plan with
-      | Full ->
-          each ov (fun s ->
-              let v = view s in
-              for h = floor to State.top s do
-                exec (fun () -> check v h)
-              done)
-      | Entries es ->
-          each_entries ov es (fun s hs ->
-              let v = view s in
-              List.iter
-                (fun h ->
-                  if h >= floor && h <= State.top s then
-                    exec (fun () -> check v h))
-                hs)
+  let local_pass ~floor check =
+    match plan with
+    | Full ->
+        each ov (fun s ->
+            let v = view s in
+            for h = floor to State.top s do
+              exec (fun () -> check v h)
+            done)
+    | Entries es ->
+        each_entries ov es (fun s hs ->
+            let v = view s in
+            List.iter
+              (fun h ->
+                if h >= floor && h <= State.top s then
+                  exec (fun () -> check v h))
+              hs)
   in
-  local_pass ~floor:0 ~audit:Repair.audit_mbr Repair.check_mbr;
-  local_pass ~floor:1 ~audit:Repair.audit_children Repair.check_children;
-  local_pass ~floor:0 ~audit:Repair.audit_parent Repair.check_parent;
+  local_pass ~floor:0 Repair.check_mbr;
+  local_pass ~floor:1 Repair.check_children;
+  local_pass ~floor:0 Repair.check_parent;
   run ov;
-  local_pass ~floor:1 ~audit:Repair.audit_cover Repair.check_cover;
+  local_pass ~floor:1 Repair.check_cover;
   (* Phase 3: multi-party transactions (atomic locked exchanges). *)
   (match plan with
   | Full ->

@@ -212,13 +212,6 @@ val access : t -> Access.net
 (** The underlying state-access layer — for white-box tests that
     drive {!Repair} helpers directly. *)
 
-val pool : t -> Sim.Pool.t option
-(** The domain pool behind [Config.domains > 1] ([None] on the
-    sequential path). Read-only sweeps above the overlay —
-    {!Invariant} — shard over it with the same contiguous-block,
-    merge-in-shard-order discipline the round drivers use
-    (DESIGN.md §12). *)
-
 (** {2 Dirty set (repair scheduler)} *)
 
 val mark_dirty : t -> Sim.Node_id.t -> int -> unit

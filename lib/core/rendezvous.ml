@@ -10,7 +10,7 @@
    a union of nearby cells), the ranges are a total, balanced and
    deterministic partition of the key space, and the mapping is a pure
    function of the grid — no RNG draw, no schedule decision — so any
-   two runs (layouts, domain counts) agree on every assignment. *)
+   two runs (under either layout, say) agree on every assignment. *)
 
 module Rect = Geometry.Rect
 module Zorder = Baselines.Zorder

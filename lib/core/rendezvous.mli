@@ -8,8 +8,8 @@
     partitioned by Z-order ({!Baselines.Zorder}) into [shards]
     contiguous key ranges; the mapping is a pure function of the grid
     (no RNG, no schedule state), so it is total, balanced, and
-    deterministic across layouts and domain counts ([test_forest.ml]
-    holds it to that). *)
+    deterministic across layouts ([test_forest.ml] holds it to
+    that). *)
 
 type t
 

@@ -230,98 +230,6 @@ let check_cover v h =
     | Some _ | None -> ()
   end
 
-(* {2 Read-only audits (DESIGN.md §12)}
-
-   One audit per local CHECK_* module: would the module, run now,
-   repair anything? Each mirrors its module's clean-path reads
-   observation for observation — same view calls, same order — so
-   that, over an [Access.*_counted] view, the probe count equals
-   exactly what the sequential pass would record on a clean instance.
-   The audits write nothing; the parallel round driver runs them
-   shard-wise against start-of-pass state and falls back to the
-   sequential pass verbatim if any instance is flagged (a false
-   "dirty" costs only time, never exactness — the fallback re-reads
-   pristine state). *)
-
-let audit_mbr v h =
-  let sp = Access.self v in
-  (not (State.is_active sp h))
-  ||
-  let l = State.level_exn sp h in
-  if h = 0 then Rect.equal l.State.mbr (State.filter sp)
-  else
-    let mbrs =
-      Node_id.Set.fold
-        (fun c acc ->
-          match Access.member_mbr v (h - 1) c with
-          | Some r -> r :: acc
-          | None -> acc)
-        l.State.children []
-    in
-    let computed =
-      match mbrs with
-      | [] -> State.filter sp
-      | r :: rest -> List.fold_left Rect.union r rest
-    in
-    Rect.equal l.State.mbr computed
-
-let audit_children v h =
-  let sp = Access.self v in
-  (not (h >= 1 && State.is_active sp h))
-  ||
-  let p = State.id sp in
-  let net = Access.network v in
-  let home = Access.home_of net p in
-  let l = State.level_exn sp h in
-  (* mirrors check_children's keep-test, shard guard included *)
-  let keep c =
-    Node_id.equal c p
-    || (Access.claims_parent v ~child:c ~h:(h - 1)
-       && Access.home_of net c = home)
-  in
-  let kept = Node_id.Set.add p (Node_id.Set.filter keep l.State.children) in
-  Node_id.Set.equal kept l.State.children
-  (* a stale underloaded flag is repaired silently by [check_children];
-     treat it as dirty so the flag write happens on the sequential
-     path *)
-  && l.State.underloaded
-     = (Node_id.Set.cardinal l.State.children
-       < (Access.network v).Access.cfg.Config.min_fill)
-
-let audit_parent v h =
-  let sp = Access.self v in
-  (not (State.is_active sp h))
-  ||
-  let p = State.id sp in
-  let net = Access.network v in
-  let l = State.level_exn sp h in
-  if h < State.top sp then Node_id.equal l.State.parent p
-  else
-    Node_id.equal l.State.parent p
-    || (Access.attached_to v ~parent:l.State.parent ~h:(h + 1)
-       && Access.home_of net l.State.parent = Access.home_of net p)
-
-let audit_cover v h =
-  let sp = Access.self v in
-  (not (h >= 1 && State.is_active sp h))
-  ||
-  let p = State.id sp in
-  let l = State.level_exn sp h in
-  let own = Access.member_area v (h - 1) p in
-  let best =
-    Node_id.Set.fold
-      (fun c acc ->
-        if Node_id.equal c p then acc
-        else
-          let a = Access.member_area v (h - 1) c in
-          match acc with
-          | Some (_, ba) when ba >= a -> acc
-          | _ when a > own -> Some (c, a)
-          | _ -> acc)
-      l.State.children None
-  in
-  match best with None -> true | Some _ -> false
-
 (* {2 Compaction helpers (Fig. 14, direct-only: commits against live
    state)} *)
 

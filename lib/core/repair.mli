@@ -51,28 +51,6 @@ val check_cover : Access.t -> int -> unit
 (** Fig. 13: if some member covers more than the holder's own member
     instance, they exchange positions ({!adjust_parent}). *)
 
-(** {2 Read-only audits (DESIGN.md §12)}
-
-    [audit_x v h] is [true] iff [check_x v h] run now would mutate
-    nothing — the clean fast-path test of the parallel round driver.
-    Each audit performs exactly the neighbor reads its module's clean
-    path performs, in the same order, so over an
-    [Access.direct_counted] view the probe cell ends at precisely the
-    count the sequential pass would have recorded for that instance.
-    Audits never write ([audit_cover] in particular skips the
-    [confirm_alive] a firing [check_cover] would do — any [Some] best
-    candidate flags the instance, and the sequential fallback decides
-    whether the exchange commits). *)
-
-val audit_mbr : Access.t -> int -> bool
-val audit_children : Access.t -> int -> bool
-(** Also flags a stale [underloaded] bit: {!check_children} repairs it
-    silently (no repair record), and that write must happen on the
-    sequential path. *)
-
-val audit_parent : Access.t -> int -> bool
-val audit_cover : Access.t -> int -> bool
-
 val check_structure : Access.net -> State.t -> int -> unit
 (** Fig. 14: compact underloaded members pairwise, dispatch members
     of unmergeable sets to unsaturated siblings, dissolve unplaceable

@@ -127,7 +127,6 @@ let create () =
 (* {2 State probes} *)
 
 let record_probe t = t.probes <- t.probes + 1
-let record_probes t n = t.probes <- t.probes + n
 let probes t = t.probes
 let reset_probes t = t.probes <- 0
 
@@ -143,7 +142,6 @@ let total_repairs t = Array.fold_left ( + ) 0 t.repairs
 (* {2 Repair-module executions} *)
 
 let record_exec t = t.execs <- t.execs + 1
-let record_execs t n = t.execs <- t.execs + n
 let execs t = t.execs
 
 (* {2 Per-kind wire traffic} *)

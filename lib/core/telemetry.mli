@@ -31,11 +31,6 @@ val create : unit -> t
 
 val record_probe : t -> unit
 
-val record_probes : t -> int -> unit
-(** Bulk variant: how the round drivers merge per-shard probe counts
-    at the parallel-audit barrier (DESIGN.md §12) — shards count
-    locally, the main domain commits the sums in shard order. *)
-
 val probes : t -> int
 val reset_probes : t -> unit
 
@@ -102,10 +97,6 @@ type round_report = {
 val record_exec : t -> unit
 (** Called by the round drivers per CHECK_* module invocation (whether
     or not the module finds anything to repair). *)
-
-val record_execs : t -> int -> unit
-(** Bulk variant, mirroring {!record_probes}: merges per-shard
-    execution counts at the parallel-audit barrier. *)
 
 val execs : t -> int
 

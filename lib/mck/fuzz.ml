@@ -47,9 +47,9 @@ let describe_violations ov =
               Inv.pp_violation)
            shown)
 
-(* Shape fingerprint of the overlay a trace leaves behind — the
-   cross-scheduler differential compares these (size/height always
-   meaningful; [legal] records the final verdict of the invariant). *)
+(* Shape fingerprint of the overlay a trace leaves behind — every
+   differential compares these ([legal] records the final verdict of
+   the invariant). *)
 type summary = { final_size : int; final_height : int; final_legal : bool }
 
 let pp_summary ppf s =
@@ -57,11 +57,11 @@ let pp_summary ppf s =
     s.final_legal
 
 (* Counter fingerprint of a run: every telemetry and engine counter
-   that could observe a layout difference. The layout differential
-   compares these {e exactly} on every trace — the layouts share every
-   RNG draw and every iteration-order-sensitive path sorts before use,
-   so any divergence at all is a bug, never schedule noise (contrast
-   the looser cross-scheduler comparison below). *)
+   that could observe a difference between two realizations. [Exact]
+   differentials compare these on every trace — their variants share
+   every RNG draw and every iteration-order-sensitive path sorts
+   before use, so any divergence at all is a bug, never schedule
+   noise. *)
 type fingerprint = {
   fp_probes : int;
   fp_execs : int;
@@ -92,12 +92,12 @@ let pp_fingerprint ppf f =
          Format.fprintf ppf "%s:%d/%d/%d/%d" k sm sb rm rb))
     f.fp_traffic
 
-let run_trace_full ?(probes = 3) ?(domains = 1) (tr : Trace.t) =
+let run_trace_full ?(probes = 3) (tr : Trace.t) =
   let cfg =
     Drtree.Config.make ~min_fill:tr.Trace.min_fill ~max_fill:tr.Trace.max_fill
       ~cover_sweep:tr.Trace.cover_sweep ~scheduler:tr.Trace.scheduler
       ~layout:tr.Trace.layout ~detector:tr.Trace.detector
-      ~forest:tr.Trace.forest ~domains ()
+      ~forest:tr.Trace.forest ()
   in
   let transport =
     match tr.Trace.transport with
@@ -434,196 +434,100 @@ let run_trace_full ?(probes = 3) ?(domains = 1) (tr : Trace.t) =
     },
     fp )
 
-let run_trace_summary ?probes ?domains tr =
-  let outcome, summary, _ = run_trace_full ?probes ?domains tr in
-  (outcome, summary)
+let run_trace ?probes tr =
+  let outcome, _, _ = run_trace_full ?probes tr in
+  outcome
 
-let run_trace ?probes ?domains tr = fst (run_trace_summary ?probes ?domains tr)
+(* {2 Differential axes}
 
-(* {2 Cross-scheduler differential}
+   One harness runs a trace under every variant of an axis and
+   compares each run with the first variant's, the reference, under
+   the axis's standard (see fuzz.mli). *)
 
-   The same trace under [Full_sweep] and [Incremental] must reach the
-   same verdict; under a strict schedule (clean FIFO) the final
-   membership and legality must also agree. Height is deliberately
-   NOT part of the strict comparison: an instance written mid-round is
-   visited by a full sweep's later passes the same round but deferred
-   to the next round by the start-of-round incremental plan, so
-   interacting repairs (rare — roughly one trace in a thousand) can
-   settle on different, equally legal trees; see DESIGN.md §10. *)
+type standard = Exact | Verdict_legality
 
-let run_scheduler_differential ?probes ?domains (tr : Trace.t) =
-  let of_sched scheduler = { tr with Trace.scheduler } in
-  let o_full, s_full =
-    run_trace_summary ?probes ?domains (of_sched Drtree.Config.Full_sweep)
-  in
-  let o_inc, s_inc =
-    run_trace_summary ?probes ?domains (of_sched Drtree.Config.Incremental)
-  in
-  let verdict = function
-    | Passed -> "pass"
-    | Failed f -> Format.asprintf "fail at %a" pp_location f.at
-  in
-  let strict =
-    tr.Trace.drop = 0.0 && tr.Trace.dup = 0.0 && tr.Trace.sched = Schedule.Fifo
-  in
-  let agree =
-    match (o_full, o_inc) with
-    | Passed, Passed | Failed _, Failed _ -> true
-    | Passed, Failed _ | Failed _, Passed -> false
-  in
-  if not agree then
-    Error
-      (Printf.sprintf "scheduler verdicts differ: full=%s incremental=%s"
-         (verdict o_full) (verdict o_inc))
-  else if
-    strict
-    && (s_full.final_size <> s_inc.final_size
-       || s_full.final_legal <> s_inc.final_legal)
-  then
-    Error
-      (Format.asprintf "size/legality differ under a strict schedule: \
-                        full=%a incremental=%a"
-         pp_summary s_full pp_summary s_inc)
-  else Ok (o_full, s_full)
+type axis = {
+  name : string;
+  variants : (string * (Trace.t -> Trace.t)) list;
+  standard : standard;
+}
 
-(* {2 Layout differential}
+let axes =
+  let open Drtree.Config in
+  [
+    {
+      name = "scheduler";
+      variants =
+        [
+          ("full", fun tr -> { tr with Trace.scheduler = Full_sweep });
+          ("incremental", fun tr -> { tr with Trace.scheduler = Incremental });
+        ];
+      standard = Verdict_legality;
+    };
+    {
+      name = "layout";
+      variants =
+        [
+          ("hashed", fun tr -> { tr with Trace.layout = Hashed });
+          ("flat", fun tr -> { tr with Trace.layout = Flat });
+        ];
+      standard = Exact;
+    };
+    {
+      (* A one-shard forest runs the whole rendezvous machinery (grid,
+         per-shard claimant caches, shard-scoped guards, cross-shard
+         fan-out loops) yet must reduce to the single tree exactly
+         (DESIGN.md §14). *)
+      name = "forest";
+      variants =
+        [
+          ("single", fun tr -> { tr with Trace.forest = Single });
+          ( "sharded:1",
+            fun tr -> { tr with Trace.forest = Sharded { shards = 1 } } );
+        ];
+      standard = Exact;
+    };
+  ]
 
-   The same trace under [Hashed] and [Flat] must be bit-identical in
-   every observable: exact verdict (location and message), exact final
-   shape {e including height}, and exact counter fingerprint down to
-   the byte accounting — on every trace, faulty or hostile included.
-   The layout touches no RNG draw and no schedule decision, so unlike
-   the cross-scheduler differential there is no legitimate source of
-   divergence to excuse. *)
+let pp_verdict ppf = function
+  | Passed -> Format.pp_print_string ppf "pass"
+  | Failed f -> Format.fprintf ppf "fail at %a" pp_failure f
 
-let run_layout_differential ?probes ?domains (tr : Trace.t) =
-  let of_layout layout = { tr with Trace.layout } in
-  let o_h, s_h, f_h =
-    run_trace_full ?probes ?domains (of_layout Drtree.Config.Hashed)
-  in
-  let o_f, s_f, f_f =
-    run_trace_full ?probes ?domains (of_layout Drtree.Config.Flat)
-  in
-  let describe = function
-    | Passed -> "pass"
-    | Failed f -> Format.asprintf "fail at %a: %s" pp_location f.at f.what
-  in
-  let outcomes_equal =
-    match (o_h, o_f) with
-    | Passed, Passed -> true
-    | Failed a, Failed b -> a.at = b.at && a.what = b.what
-    | Passed, Failed _ | Failed _, Passed -> false
-  in
-  if not outcomes_equal then
-    Error
-      (Printf.sprintf "layout verdicts differ: hashed=%s flat=%s"
-         (describe o_h) (describe o_f))
-  else if s_h <> s_f then
-    Error
-      (Format.asprintf "layout shapes differ: hashed=%a flat=%a" pp_summary
-         s_h pp_summary s_f)
-  else if f_h <> f_f then
-    Error
-      (Format.asprintf
-         "layout fingerprints differ:@ hashed=%a@ flat=%a" pp_fingerprint f_h
-         pp_fingerprint f_f)
-  else Ok (o_f, s_f)
-
-(* {2 Domains differential}
-
-   The same trace at every domain count must be bit-identical in every
-   observable, the layout differential's standard: the parallel round
-   sections are read-only audits committed only when the sequential
-   pass would have been a no-op, plus order-preserving merges
-   (DESIGN.md §12), so like the layout there is no RNG draw and no
-   schedule decision for the shard count to touch — any divergence is
-   a parallelism bug. *)
-
-let run_domains_differential ?probes ?(domain_counts = [ 1; 2; 4 ])
-    (tr : Trace.t) =
-  let describe = function
-    | Passed -> "pass"
-    | Failed f -> Format.asprintf "fail at %a: %s" pp_location f.at f.what
-  in
-  match domain_counts with
-  | [] -> invalid_arg "run_domains_differential: empty domain_counts"
-  | d0 :: rest ->
-      let o0, s0, f0 = run_trace_full ?probes ~domains:d0 tr in
-      let rec compare_rest = function
-        | [] -> Ok (o0, s0)
-        | d :: rest -> (
-            let o, s, f = run_trace_full ?probes ~domains:d tr in
-            let outcomes_equal =
-              match (o0, o) with
-              | Passed, Passed -> true
-              | Failed a, Failed b -> a.at = b.at && a.what = b.what
-              | Passed, Failed _ | Failed _, Passed -> false
-            in
-            if not outcomes_equal then
-              Error
-                (Printf.sprintf
-                   "domain verdicts differ: domains=%d %s, domains=%d %s" d0
-                   (describe o0) d (describe o))
-            else if s0 <> s then
-              Error
-                (Format.asprintf
-                   "domain shapes differ: domains=%d %a, domains=%d %a" d0
-                   pp_summary s0 d pp_summary s)
-            else if f0 <> f then
-              Error
-                (Format.asprintf
-                   "domain fingerprints differ:@ domains=%d %a@ domains=%d %a"
-                   d0 pp_fingerprint f0 d pp_fingerprint f)
-            else compare_rest rest)
+let differential ?probes axis (tr : Trace.t) =
+  match axis.variants with
+  | [] -> invalid_arg "Fuzz.differential: an axis needs at least one variant"
+  | (ref_name, ref_variant) :: others ->
+      let o0, s0, f0 = run_trace_full ?probes (ref_variant tr) in
+      let strict =
+        tr.Trace.drop = 0.0 && tr.Trace.dup = 0.0
+        && tr.Trace.sched = Schedule.Fifo
       in
-      compare_rest rest
-
-(* {2 Forest differential}
-
-   [Sharded] with one shard must be the single tree: the whole forest
-   machinery — the rendezvous grid, the per-shard claimant caches, the
-   shard-scoped oracle/election/repair guards, the cross-shard publish
-   fan-out — must reduce to exactly the pre-forest code path at one
-   shard. The comparison is the layout differential's standard: exact
-   verdict, exact shape, exact counter fingerprint, on every trace,
-   faulty or hostile included. The forest touches no RNG draw and no
-   schedule decision at one shard (the only oracle draw filters a
-   one-shard population, i.e. everyone), so any divergence is a
-   rendezvous-abstraction bug (DESIGN.md §14). *)
-
-let run_forest_differential ?probes ?domains (tr : Trace.t) =
-  let of_forest forest = { tr with Trace.forest } in
-  let o_s, s_s, f_s =
-    run_trace_full ?probes ?domains (of_forest Drtree.Config.Single)
-  in
-  let o_1, s_1, f_1 =
-    run_trace_full ?probes ?domains
-      (of_forest (Drtree.Config.Sharded { shards = 1 }))
-  in
-  let describe = function
-    | Passed -> "pass"
-    | Failed f -> Format.asprintf "fail at %a: %s" pp_location f.at f.what
-  in
-  let outcomes_equal =
-    match (o_s, o_1) with
-    | Passed, Passed -> true
-    | Failed a, Failed b -> a.at = b.at && a.what = b.what
-    | Passed, Failed _ | Failed _, Passed -> false
-  in
-  if not outcomes_equal then
-    Error
-      (Printf.sprintf "forest verdicts differ: single=%s sharded:1=%s"
-         (describe o_s) (describe o_1))
-  else if s_s <> s_1 then
-    Error
-      (Format.asprintf "forest shapes differ: single=%a sharded:1=%a"
-         pp_summary s_s pp_summary s_1)
-  else if f_s <> f_1 then
-    Error
-      (Format.asprintf
-         "forest fingerprints differ:@ single=%a@ sharded:1=%a" pp_fingerprint
-         f_s pp_fingerprint f_1)
-  else Ok (o_s, s_s)
+      let check (name, variant) =
+        let o, s, f = run_trace_full ?probes (variant tr) in
+        let differ what pp a b =
+          Error
+            (Format.asprintf "%s %s differ:@ %s=%a@ %s=%a" axis.name what
+               ref_name pp a name pp b)
+        in
+        match axis.standard with
+        | Exact ->
+            if o0 <> o then differ "verdicts" pp_verdict o0 o
+            else if s0 <> s then differ "shapes" pp_summary s0 s
+            else if f0 <> f then differ "fingerprints" pp_fingerprint f0 f
+            else Ok ()
+        | Verdict_legality ->
+            if (o0 = Passed) <> (o = Passed) then
+              differ "verdicts" pp_verdict o0 o
+            else if
+              strict
+              && (s0.final_size <> s.final_size
+                 || s0.final_legal <> s.final_legal)
+            then differ "sizes/legality (strict schedule)" pp_summary s0 s
+            else Ok ()
+      in
+      List.fold_left
+        (fun acc v -> Result.bind acc (fun () -> check v))
+        (Ok ()) others
 
 (* {2 Random traces} *)
 
@@ -673,17 +577,13 @@ let random_trace rng ?(nodes = 8) ?(ops = 10) ?(mode = Trace.Shared)
     ops = List.init ops (fun _ -> random_op rng);
   }
 
-let fuzz ?probes ?domains ?(stop = fun () -> false)
-    ?(on_trace = fun _ _ _ -> ()) ~traces ~gen () =
+let fuzz ?probes ~traces ~gen () =
   let rec go i =
-    if i >= traces || stop () then None
-    else begin
+    if i >= traces then None
+    else
       let tr = gen i in
-      let outcome = run_trace ?probes ?domains tr in
-      on_trace i tr outcome;
-      match outcome with
+      match run_trace ?probes tr with
       | Passed -> go (i + 1)
       | Failed f -> Some (i, tr, f)
-    end
   in
   go 0

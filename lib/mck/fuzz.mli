@@ -56,22 +56,14 @@ val height_bound : min_fill:int -> int -> int
 (** Largest height a legal tree on [n] processes can have
     ([n >= 2 * m^(h-1)]). *)
 
-val run_trace : ?probes:int -> ?domains:int -> Trace.t -> outcome
+val run_trace : ?probes:int -> Trace.t -> outcome
 (** Execute one trace from scratch; deterministic in the trace.
-    [probes] (default 3) is the number of final oracle publications.
-    [domains] (default 1) overrides [Config.domains] for the run —
-    not a trace field, because any count is bit-identical
-    ({!run_domains_differential} proves it), so it never identifies a
-    counterexample. *)
+    [probes] (default 3) is the number of final oracle publications. *)
 
 type summary = { final_size : int; final_height : int; final_legal : bool }
 (** Shape fingerprint of the overlay a trace leaves behind. *)
 
 val pp_summary : Format.formatter -> summary -> unit
-
-val run_trace_summary :
-  ?probes:int -> ?domains:int -> Trace.t -> outcome * summary
-(** {!run_trace}, also returning the final shape. *)
 
 type fingerprint = {
   fp_probes : int;
@@ -90,78 +82,60 @@ type fingerprint = {
       (** kind, sent msgs/bytes, recv msgs/bytes; kind-sorted *)
 }
 (** Counter fingerprint of a run: every telemetry and engine counter
-    that could observe a state-layout difference. *)
+    that could observe a difference between two realizations. *)
 
 val pp_fingerprint : Format.formatter -> fingerprint -> unit
 
 val run_trace_full :
-  ?probes:int -> ?domains:int -> Trace.t -> outcome * summary * fingerprint
-(** {!run_trace_summary}, also returning the counter fingerprint. *)
+  ?probes:int -> Trace.t -> outcome * summary * fingerprint
+(** {!run_trace}, also returning the final shape and the counter
+    fingerprint. *)
 
-val run_scheduler_differential :
-  ?probes:int -> ?domains:int -> Trace.t -> (outcome * summary, string) result
-(** Run the trace twice — under [Config.Full_sweep] and
-    [Config.Incremental] (overriding its [scheduler] field) — and
-    compare: the verdicts must agree, and under a strict schedule
-    (clean FIFO) the final membership and legality must also be
-    identical — an incremental round with complete dirty marks
-    performs the repairs a full sweep would for the marks present at
-    round start. Height is not compared even then: an instance
-    written mid-round is repaired the same round by a full sweep's
-    later passes but one round later by the incremental plan, so
-    interacting repairs occasionally (~1/1000 traces) settle on
-    different, equally legal trees (DESIGN.md §10). [Error] describes
-    the divergence —
-    a scheduler-equivalence counterexample; [Ok] carries the full-sweep
-    run's outcome and shape. *)
+(** {2 Differential axes}
 
-val run_layout_differential :
-  ?probes:int -> ?domains:int -> Trace.t -> (outcome * summary, string) result
-(** Run the trace twice — under [Config.Hashed] and [Config.Flat]
-    (overriding its [layout] field) — and require bit-identical
-    observables on {e every} trace, faulty or hostile included: exact
-    verdict (failure location and message), exact final shape
-    including height, and exact {!fingerprint} down to the byte
-    accounting. Strictly harsher than {!run_scheduler_differential}:
-    the layout touches no RNG draw and no schedule decision, so there
-    is no legitimate source of divergence to excuse — any [Error] is a
-    layout bug (DESIGN.md §11). [Ok] carries the flat run's outcome
-    and shape. *)
+    A differential runs one trace under every variant of an axis — a
+    configuration knob with a reference realization — and compares
+    each run with the first variant's. *)
 
-val run_domains_differential :
-  ?probes:int ->
-  ?domain_counts:int list ->
-  Trace.t ->
-  (outcome * summary, string) result
-(** Run the trace once per entry of [domain_counts] (default
-    [\[1; 2; 4\]], first entry the baseline) and require bit-identical
-    observables at every count, on {e every} trace, faulty or hostile
-    included: exact verdict (failure location and message), exact
-    final shape including height, and exact {!fingerprint} down to
-    the byte accounting — the layout differential's standard. The
-    parallel round sections are read-only audits committed only when
-    the sequential pass would have been a no-op, plus
-    order-preserving merges (DESIGN.md §12), so the shard count
-    touches no RNG draw and no schedule decision; any [Error] is a
-    parallelism bug. [Ok] carries the baseline run's outcome and
-    shape.
-    @raise Invalid_argument on an empty [domain_counts]. *)
+type standard =
+  | Exact
+      (** Bit-identical observables on {e every} trace, faulty or
+          hostile included: exact verdict (failure location and
+          message), exact final shape including height, and exact
+          {!fingerprint} down to the byte accounting. For variants that
+          touch no RNG draw and no schedule decision, so any [Error] is
+          a bug in one of them. *)
+  | Verdict_legality
+      (** The verdicts must agree (pass or fail), and under a strict
+          schedule (clean FIFO) the final size and legality must too.
+          Height is not compared: an instance written mid-round is
+          repaired the same round by a full sweep's later passes but
+          one round later by the incremental plan, so interacting
+          repairs occasionally (~1/1000 strict traces) settle on
+          different, equally legal trees (DESIGN.md §10). *)
 
-val run_forest_differential :
-  ?probes:int -> ?domains:int -> Trace.t -> (outcome * summary, string) result
-(** Run the trace twice — under [Config.Single] and
-    [Config.Sharded {shards = 1}] (overriding its [forest] field) —
-    and require bit-identical observables on {e every} trace, faulty
-    or hostile included: exact verdict (failure location and message),
-    exact final shape including height, and exact {!fingerprint} down
-    to the byte accounting — the layout differential's standard. A
-    one-shard forest runs the whole rendezvous machinery (grid,
-    per-shard claimant caches, shard-scoped election and repair
-    guards, cross-shard fan-out loops) yet must reduce to exactly the
-    pre-forest single tree; the forest touches no RNG draw and no
-    schedule decision at one shard, so any [Error] is a
-    rendezvous-abstraction bug (DESIGN.md §14). [Ok] carries the
-    single run's outcome and shape. *)
+type axis = {
+  name : string;
+  variants : (string * (Trace.t -> Trace.t)) list;
+      (** named trace rewrites; the first is the reference *)
+  standard : standard;
+}
+
+val axes : axis list
+(** The configuration axes with a reference realization:
+    - [scheduler]: [full] vs [incremental] ([Config.scheduler]),
+      [Verdict_legality];
+    - [layout]: [hashed] vs [flat] ([Config.layout]), [Exact]
+      (DESIGN.md §11);
+    - [forest]: [single] vs [sharded:1] ([Config.forest]), [Exact]
+      (DESIGN.md §14). *)
+
+val differential : ?probes:int -> axis -> Trace.t -> (unit, string) result
+(** Run the trace under each of [axis]'s variants and compare every run
+    with the reference's under [axis.standard]. [Error] names the axis,
+    the two variants and what differs — a counterexample to the axis's
+    equivalence.
+    @raise Invalid_argument if [axis.variants] is empty. *)
 
 val random_rect : Sim.Rng.t -> Geometry.Rect.t
 (** Uniform filter in the default \[0,100\]² space, extent 1–10 per
@@ -189,13 +163,9 @@ val random_trace :
 
 val fuzz :
   ?probes:int ->
-  ?domains:int ->
-  ?stop:(unit -> bool) ->
-  ?on_trace:(int -> Trace.t -> outcome -> unit) ->
   traces:int ->
   gen:(int -> Trace.t) ->
   unit ->
   (int * Trace.t * failure) option
 (** Run up to [traces] generated traces, stopping early at the first
-    failure (returned with its index) or when [stop ()] turns true
-    (time caps). [on_trace] observes every completed trace. *)
+    failure (returned with its index). *)

@@ -7,10 +7,10 @@
    every grid cell — the mapper is the only routing authority in
    forest mode, so these properties carry the zero-false-negative
    argument. Then the overlay: shard assignment is deterministic
-   across layouts and domain counts, a sharded build converges to a
-   legal forest with exact delivery, and a one-shard forest is
-   indistinguishable from [Single] down to the telemetry fingerprint
-   (the mck forest differential). *)
+   across layouts, and a sharded build converges to a legal forest
+   with exact delivery, and a one-shard forest is indistinguishable
+   from [Single] down to the telemetry fingerprint (the mck forest
+   axis, fixed traces in axis_traces.ml). *)
 
 module R = Geometry.Rect
 module P = Geometry.Point
@@ -20,8 +20,6 @@ module Cfg = Drtree.Config
 module Rdv = Drtree.Rendezvous
 module Rng = Sim.Rng
 module Sg = Workload.Subscription_gen
-module Trace = Mck.Trace
-module Fuzz = Mck.Fuzz
 
 let check_bool msg expected actual = Alcotest.(check bool) msg expected actual
 let check_int msg expected actual = Alcotest.(check int) msg expected actual
@@ -149,11 +147,8 @@ let test_mapper_edges () =
 
 (* --- The overlay ---------------------------------------------------------- *)
 
-let build_sharded ?(shards = 4) ?(layout = Cfg.default.Cfg.layout)
-    ?(domains = 1) ~seed n =
-  let cfg =
-    Cfg.make ~forest:(Cfg.Sharded { shards }) ~layout ~domains ()
-  in
+let build_sharded ?(shards = 4) ?(layout = Cfg.default.Cfg.layout) ~seed n =
+  let cfg = Cfg.make ~forest:(Cfg.Sharded { shards }) ~layout () in
   let ov = O.create ~cfg ~seed () in
   let rng = Rng.make ((seed * 13) + 7) in
   let rects = Sg.clustered () Workload.Space.default rng n in
@@ -162,8 +157,7 @@ let build_sharded ?(shards = 4) ?(layout = Cfg.default.Cfg.layout)
   ov
 
 (* Shard assignment is a pure function of the filter: the hashed and
-   flat layouts and any domain count agree on every home and on every
-   designated root. *)
+   flat layouts agree on every home and on every designated root. *)
 let test_assignment_deterministic () =
   let snapshot ov =
     ( List.map (fun id -> (id, O.shard_of ov id)) (O.alive_ids ov),
@@ -171,9 +165,7 @@ let test_assignment_deterministic () =
   in
   let base = snapshot (build_sharded ~layout:Cfg.Hashed ~seed:41 80) in
   check_bool "flat layout agrees with hashed" true
-    (snapshot (build_sharded ~layout:Cfg.Flat ~seed:41 80) = base);
-  check_bool "domains=2 agrees with sequential" true
-    (snapshot (build_sharded ~layout:Cfg.Flat ~domains:2 ~seed:41 80) = base)
+    (snapshot (build_sharded ~layout:Cfg.Flat ~seed:41 80) = base)
 
 (* A sharded build converges to a legal forest (per-shard root
    uniqueness and reachability included) and publishes exactly:
@@ -196,34 +188,6 @@ let test_sharded_build_exact () =
     check_int "zero false negatives" 0 report.O.false_negatives;
     check_bool "delivered = matched" true
       (Sim.Node_id.Set.equal report.O.delivered report.O.matched)
-  done
-
-(* --- Sharded{1} = Single, through the mck differential -------------------- *)
-
-let test_forest_differential () =
-  let base = 46_000 in
-  for i = 0 to 14 do
-    let rng = Rng.make (base + i) in
-    let tr = Fuzz.random_trace rng () in
-    match Fuzz.run_forest_differential ~probes:2 tr with
-    | Ok _ -> ()
-    | Error msg ->
-        Alcotest.failf "forest divergence on seed %d: %s@.%a" (base + i) msg
-          Trace.pp tr
-  done
-
-let test_forest_differential_hostile () =
-  for i = 0 to 7 do
-    let rng = Rng.make (47_000 + i) in
-    let tr =
-      Fuzz.random_trace rng ~transport:Trace.Wire ~scheduler:Cfg.Incremental
-        ~sched:Mck.Schedule.Random ~drop:0.1 ()
-    in
-    match Fuzz.run_forest_differential ~probes:2 tr with
-    | Ok _ -> ()
-    | Error msg ->
-        Alcotest.failf "hostile forest divergence on seed %d: %s" (47_000 + i)
-          msg
   done
 
 (* --- Config ---------------------------------------------------------------- *)
@@ -263,18 +227,17 @@ let () =
         ] );
       ( "overlay",
         [
-          Alcotest.test_case "assignment deterministic across layouts/domains"
+          Alcotest.test_case "assignment deterministic across layouts"
             `Quick test_assignment_deterministic;
           Alcotest.test_case "sharded build legal, delivery exact" `Quick
             test_sharded_build_exact;
         ] );
       ( "differential",
-        [
-          Alcotest.test_case "15 random traces forest-identical" `Quick
-            test_forest_differential;
-          Alcotest.test_case "8 hostile wire traces forest-identical" `Quick
-            test_forest_differential_hostile;
-        ] );
+        Axis_traces.test_cases "forest"
+          [
+            "random traces forest-identical";
+            "hostile wire traces forest-identical";
+          ] );
       ( "config",
         [ Alcotest.test_case "forest knob" `Quick test_config_forest ] );
     ]

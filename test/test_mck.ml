@@ -1,7 +1,7 @@
 (* Tests for the adversarial model-checking harness (lib/mck): schedule
-   strategies, the fuzz driver's determinism, the planted cover-sweep
-   bug (detect -> shrink -> serialize -> replay), and the trace
-   codec. *)
+   strategies, the fuzz driver's determinism, that every differential
+   axis has fixed traces (axis_traces.ml), the planted cover-sweep bug
+   (detect -> shrink -> serialize -> replay), and the trace codec. *)
 
 module O = Drtree.Overlay
 module Inv = Drtree.Invariant
@@ -135,6 +135,22 @@ let test_wire_transport_traces () =
     check_string "wire verdict = inproc verdict" (outcome_str inproc)
       (outcome_str wire)
   done
+
+(* --- Differential axes ----------------------------------------------------------- *)
+
+(* Every axis of [Fuzz.axes] has fixed traces in [Axis_traces], and
+   the table names no other axis: the suites that own the axes run
+   them. *)
+let test_axes_have_traces () =
+  let names = List.map (fun (a : Fuzz.axis) -> a.name) Fuzz.axes in
+  Alcotest.(check (list string))
+    "one batch list per axis" (List.sort compare names)
+    (List.sort compare (List.map fst Axis_traces.batches));
+  List.iter
+    (fun name ->
+      check_bool (name ^ " has batches") true
+        (List.assoc name Axis_traces.batches <> []))
+    names
 
 (* --- The planted cover-sweep bug ------------------------------------------------ *)
 
@@ -305,6 +321,11 @@ let () =
             test_run_trace_deterministic;
           Alcotest.test_case "wire transport, same verdicts" `Quick
             test_wire_transport_traces;
+        ] );
+      ( "differential",
+        [
+          Alcotest.test_case "every axis has fixed traces" `Quick
+            test_axes_have_traces;
         ] );
       ( "planted-bug",
         [

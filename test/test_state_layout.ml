@@ -1,10 +1,11 @@
 (* The flat interned state layout (DESIGN.md §11): the intern table's
    slot contract under churn, packed dirty keys, Hashed-vs-Flat
    observational equivalence of [State] under random activation
-   sequences, the layout directive in the trace codec, and the
-   layout-differential harness over random traces — the headline
-   bit-identical guarantee, at test scale (the CI smoke and
-   `fuzz --layout differential` run it at thousands of traces). *)
+   sequences, the layout directive in the trace codec, and the mck
+   layout axis over random traces — the headline bit-identical
+   guarantee, at test scale (fixed traces in axis_traces.ml;
+   `fuzz --differential layout` runs it at thousands of traces) —
+   plus the differential harness's failure paths. *)
 
 module R = Geometry.Rect
 module O = Drtree.Overlay
@@ -234,56 +235,49 @@ let state_layout_equivalence =
       check_bool "layout accessor (flat)" true (St.layout b = Cfg.Flat);
       true)
 
-(* --- Layout differential over random traces ------------------------------ *)
+(* --- The differential harness reports a real divergence -------------------- *)
 
-let test_layout_differential () =
-  let base = 31_000 in
-  for i = 0 to 39 do
-    let rng = Sim.Rng.make (base + i) in
-    let tr = Fuzz.random_trace rng () in
-    match Fuzz.run_layout_differential ~probes:2 tr with
-    | Ok _ -> ()
-    | Error msg ->
-        Alcotest.failf "layout divergence on seed %d: %s@.%a" (base + i) msg
-          Trace.pp tr
-  done
-
-let test_layout_differential_wire () =
-  for i = 0 to 19 do
-    let rng = Sim.Rng.make (32_000 + i) in
-    let tr =
-      Fuzz.random_trace rng ~transport:Trace.Wire
-        ~scheduler:Cfg.Incremental ~drop:0.1 ()
-    in
-    match Fuzz.run_layout_differential ~probes:2 tr with
-    | Ok _ -> ()
-    | Error msg ->
-        Alcotest.failf "wire layout divergence on seed %d: %s" (32_000 + i) msg
-  done
-
-(* A corrupted detector: a deliberately divergent pair must be caught.
-   Rather than breaking the layouts, diverge the trace itself — the
-   harness compares fingerprints, so two different seeds under the two
-   layouts would differ; here we just confirm a fingerprint field
-   mismatch is reported through the public API. *)
-let test_layout_differential_detects () =
+(* [Fuzz.differential]'s failure paths (the layout axis's included),
+   reached through a probe axis whose second variant appends one
+   prelude join: a real divergence, where a layout bug would be
+   one. *)
+let test_differential_detects () =
   let rng = Sim.Rng.make 33_000 in
-  let tr = Fuzz.random_trace rng () in
-  let _, _, fp_flat =
-    Fuzz.run_trace_full ~probes:2 { tr with Trace.layout = Cfg.Flat }
+  let extra = Fuzz.random_rect rng in
+  let plus_join tr = { tr with Trace.prelude = tr.Trace.prelude @ [ extra ] } in
+  let probe standard =
+    {
+      Fuzz.name = "probe";
+      variants = [ ("base", Fun.id); ("plus-join", plus_join) ];
+      standard;
+    }
   in
-  let _, _, fp_hashed =
-    Fuzz.run_trace_full ~probes:2 { tr with Trace.layout = Cfg.Hashed }
+  let contains s sub =
+    let n = String.length sub in
+    let rec at i =
+      i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+    in
+    at 0
   in
-  check_bool "fingerprints of the two layouts are equal" true
-    (fp_flat = fp_hashed);
-  (* and a genuinely different run has a different fingerprint: one
-     extra prelude join must show up in the message counters *)
-  let tr' =
-    { tr with Trace.prelude = tr.Trace.prelude @ [ Fuzz.random_rect rng ] }
-  in
-  let _, _, fp' = Fuzz.run_trace_full ~probes:2 tr' in
-  check_bool "a perturbed run is distinguished" true (fp_flat <> fp')
+  let clean = Fuzz.random_trace rng ~sched:Mck.Schedule.Fifo () in
+  (match Fuzz.differential ~probes:2 (probe Fuzz.Exact) clean with
+  | Ok () -> Alcotest.fail "Exact missed an extra join"
+  | Error msg ->
+      List.iter
+        (fun name ->
+          check_bool (Printf.sprintf "error names %s" name) true
+            (contains msg name))
+        [ "probe"; "base"; "plus-join" ]);
+  (match Fuzz.differential ~probes:2 (probe Fuzz.Verdict_legality) clean with
+  | Ok () -> Alcotest.fail "Verdict_legality missed a size change (strict)"
+  | Error _ -> ());
+  let lossy = Fuzz.random_trace rng ~drop:0.1 () in
+  let passes tr = Fuzz.run_trace ~probes:2 tr = Fuzz.Passed in
+  check_bool "lossy base run passes" true (passes lossy);
+  check_bool "lossy plus-join run passes" true (passes (plus_join lossy));
+  match Fuzz.differential ~probes:2 (probe Fuzz.Verdict_legality) lossy with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "Verdict_legality compared shapes: %s" msg
 
 (* --- Trace codec: the layout directive ----------------------------------- *)
 
@@ -353,14 +347,15 @@ let () =
       ("dirty", [ QCheck_alcotest.to_alcotest dirty_pack_round_trip ]);
       ("state", [ QCheck_alcotest.to_alcotest state_layout_equivalence ]);
       ( "differential",
-        [
-          Alcotest.test_case "40 random traces layout-identical" `Quick
-            test_layout_differential;
-          Alcotest.test_case "20 faulty wire traces layout-identical" `Quick
-            test_layout_differential_wire;
-          Alcotest.test_case "fingerprints distinguish real divergence" `Quick
-            test_layout_differential_detects;
-        ] );
+        Axis_traces.test_cases "layout"
+          [
+            "random traces layout-identical";
+            "faulty wire traces layout-identical";
+          ]
+        @ [
+            Alcotest.test_case "probe axis reaches both failure paths" `Quick
+              test_differential_detects;
+          ] );
       ( "codec",
         [
           Alcotest.test_case "layout directive round-trip and defaults" `Quick
