@@ -11,6 +11,7 @@
 
    Examples:
      drtree_cli build -n 512 --workload clustered
+     drtree_cli build -n 256 --config "min-fill=3 max-fill=6 forest=4"
      drtree_cli publish -n 256 --events 500 --event-workload hotspot
      drtree_cli churn -n 200 --crash 0.2 --corrupt 0.1
      drtree_cli inspect -n 20
@@ -18,6 +19,7 @@
      drtree_cli aggregate -n 256 --fn sum --tct 2 --epochs 20
      drtree_cli fuzz --traces 500 --drop 0.1
      drtree_cli fuzz --traces 500 --differential layout
+     drtree_cli fuzz --cover-sweep off --sched fifo
      drtree_cli fuzz --replay repro/counterexample-42.trace *)
 
 module O = Drtree.Overlay
@@ -49,22 +51,6 @@ let workload_t =
           (Printf.sprintf "Subscription workload (%s)."
              (String.concat ", " names)))
 
-let min_fill_t =
-  Arg.(value & opt int 2 & info [ "m"; "min-fill" ] ~docv:"M" ~doc:"Minimum children per node (m).")
-
-let max_fill_t =
-  Arg.(value & opt int 4 & info [ "M"; "max-fill" ] ~docv:"M" ~doc:"Maximum children per node (M).")
-
-let split_t =
-  Arg.(
-    value
-    & opt
-        (enum
-           [ ("linear", Rtree.Split.Linear); ("quadratic", Rtree.Split.Quadratic);
-             ("rstar", Rtree.Split.Rstar) ])
-        Rtree.Split.Quadratic
-    & info [ "split" ] ~docv:"KIND" ~doc:"Split policy (linear, quadratic, rstar).")
-
 let transport_t =
   Arg.(
     value
@@ -79,76 +65,47 @@ let to_transport = function
   | `Inproc -> Sim.Transport.inproc
   | `Wire -> Drtree.Message.Codec.transport
 
-(* --- Overlay-mode flags -------------------------------------------------------
+(* --- Overlay configuration -------------------------------------------------------
 
-   Shared by the build-side commands and fuzz, where they configure the
-   generated traces. *)
+   One flag per row of the knob table (Drtree.Config.fields), plus
+   --config in Config.to_string's syntax. Every subcommand takes the
+   result; fuzz configures its generated traces with it. *)
 
-let scheduler_t =
-  Arg.(
-    value
-    & opt
-        (enum [ ("full", Cfg.Full_sweep); ("incremental", Cfg.Incremental) ])
-        Cfg.Full_sweep
-    & info [ "scheduler" ] ~docv:"KIND"
-        ~doc:
-          "Repair scheduler: full (every module at every height each round) \
-           or incremental (drain the dirty set plus a background scan lane).")
-
-let layout_t =
-  Arg.(
-    value
-    & opt (enum [ ("hashed", Cfg.Hashed); ("flat", Cfg.Flat) ]) Cfg.Flat
-    & info [ "layout" ] ~docv:"KIND"
-        ~doc:
-          "State-store layout: flat (contiguous arrays over an int-interned \
-           id space) or hashed (the original per-process hashtables; the \
-           reference of the layout differential).")
-
-let detector_t =
-  let parse s =
-    match Cfg.detector_of_string s with
-    | Ok d -> Ok d
-    | Error e -> Error (`Msg e)
+let config_t =
+  let base =
+    Arg.(
+      value & opt string ""
+      & info [ "config" ] ~docv:"STRING"
+          ~doc:
+            "Overlay configuration as space-separated NAME=VALUE pairs, the \
+             form $(b,build) prints after $(b,config:). A missing key takes \
+             its default; the per-knob flags override the string.")
   in
-  let print ppf d = Format.pp_print_string ppf (Cfg.detector_to_string d) in
-  Arg.(
-    value
-    & opt (conv ~docv:"KIND" (parse, print)) Cfg.Oracle
-    & info [ "detector" ] ~docv:"KIND"
-        ~doc:
-          "Failure detector: oracle (crashes are known — the paper's model \
-           and the bit-identical default) or heartbeat[:PERIOD:TIMEOUT:K] \
-           (each process heartbeats its tree neighbors plus K fallback-ring \
-           contacts every PERIOD time units; a peer silent for TIMEOUT \
-           periods is suspected, challenged, and after one more silent \
-           period confirmed dead and evicted locally; $(b,heartbeat) alone \
-           means heartbeat:1:3:2).")
-
-let forest_t =
-  (* Accept "single", "sharded:K", or a bare shard count K. *)
-  let parse s =
-    let canonical =
-      match int_of_string_opt s with
-      | Some k -> Printf.sprintf "sharded:%d" k
-      | None -> s
+  (* A flag's value is syntax-checked here and passed on as NAME=VALUE;
+     Config.of_string applies the string, then the flags in table order,
+     and validates the result once. *)
+  let flag (f : Cfg.field) =
+    let parse s =
+      match f.parse s with
+      | Ok _ -> Ok (f.name ^ "=" ^ s)
+      | Error e -> Error (`Msg e)
     in
-    match Cfg.forest_of_string canonical with
-    | Ok f -> Ok f
-    | Error e -> Error (`Msg e)
+    let text = Arg.conv (parse, Format.pp_print_string) in
+    Arg.(
+      value
+      & opt (some ~none:(f.print Cfg.default) text) None
+      & info [ f.name ] ~docv:f.docv ~doc:f.doc)
   in
-  let print ppf f = Format.pp_print_string ppf (Cfg.forest_to_string f) in
-  Arg.(
-    value
-    & opt (conv ~docv:"KIND" (parse, print)) Cfg.Single
-    & info [ "forest" ] ~docv:"KIND"
-        ~doc:
-          "Rendezvous forest: single (one global DR-tree — the paper's model \
-           and the bit-identical default) or a shard count N \
-           (Z-order-partition the space into N independent DR-trees, each \
-           with its own designated root, election scope and repair sweep; \
-           events fan out to every other shard root whose MBR contains \
-           them).")
+  let assignments =
+    List.fold_right
+      (fun f rest ->
+        Term.(const (fun a r -> Option.to_list a @ r) $ flag f $ rest))
+      Cfg.fields (Term.const [])
+  in
+  Term.term_result'
+    Term.(
+      const (fun s kvs -> Cfg.of_string (String.concat " " (s :: kvs)))
+      $ base $ assignments)
 
 let build_overlay ~cfg ~transport ~seed ~n ~workload =
   let rng = Rng.make (seed * 31) in
@@ -185,12 +142,7 @@ let print_shape ov =
 (* --- build ------------------------------------------------------------------- *)
 
 let build_cmd =
-  let run seed n workload min_fill max_fill split transport scheduler layout
-      detector forest =
-    let cfg =
-      Cfg.make ~min_fill ~max_fill ~split ~scheduler ~layout ~detector ~forest
-        ()
-    in
+  let run seed n workload cfg transport =
     let ov, _ = build_overlay ~cfg ~transport ~seed ~n ~workload in
     Format.printf "config: %a@." Cfg.pp cfg;
     print_shape ov;
@@ -209,7 +161,7 @@ let build_cmd =
              members)
          (O.shard_roots ov)
      end);
-    (match detector with
+    (match cfg.Cfg.detector with
     | Cfg.Oracle -> ()
     | Cfg.Heartbeat _ ->
         let tele = O.telemetry ov in
@@ -223,9 +175,7 @@ let build_cmd =
   in
   Cmd.v (Cmd.info "build" ~doc:"Build an overlay and print its shape.")
     Term.(
-      const run $ seed_t $ size_t $ workload_t $ min_fill_t $ max_fill_t
-      $ split_t $ transport_t $ scheduler_t $ layout_t $ detector_t
-      $ forest_t)
+      const run $ seed_t $ size_t $ workload_t $ config_t $ transport_t)
 
 (* --- publish ----------------------------------------------------------------- *)
 
@@ -239,9 +189,7 @@ let publish_cmd =
       & opt (enum [ ("uniform", "uniform"); ("hotspot", "hotspot"); ("zipf", "zipf"); ("targeted", "targeted") ]) "uniform"
       & info [ "event-workload" ] ~docv:"NAME" ~doc:"Event distribution.")
   in
-  let run seed n workload min_fill max_fill split transport scheduler events
-      event_workload =
-    let cfg = Cfg.make ~min_fill ~max_fill ~split ~scheduler () in
+  let run seed n workload cfg transport events event_workload =
     let ov, rng = build_overlay ~cfg ~transport ~seed ~n ~workload in
     let rects =
       List.filter_map
@@ -278,8 +226,8 @@ let publish_cmd =
   in
   Cmd.v (Cmd.info "publish" ~doc:"Publish events and report accuracy/cost.")
     Term.(
-      const run $ seed_t $ size_t $ workload_t $ min_fill_t $ max_fill_t
-      $ split_t $ transport_t $ scheduler_t $ events_t $ event_workload_t)
+      const run $ seed_t $ size_t $ workload_t $ config_t $ transport_t
+      $ events_t $ event_workload_t)
 
 (* --- churn ------------------------------------------------------------------- *)
 
@@ -293,9 +241,7 @@ let churn_cmd =
   let leave_t =
     Arg.(value & opt float 0.0 & info [ "leave" ] ~docv:"FRAC" ~doc:"Fraction of controlled departures.")
   in
-  let run seed n workload min_fill max_fill split transport scheduler crash
-      corrupt leave =
-    let cfg = Cfg.make ~min_fill ~max_fill ~split ~scheduler () in
+  let run seed n workload cfg transport crash corrupt leave =
     let ov, rng = build_overlay ~cfg ~transport ~seed ~n ~workload in
     Printf.printf "before faults:\n";
     print_shape ov;
@@ -322,14 +268,13 @@ let churn_cmd =
   Cmd.v
     (Cmd.info "churn" ~doc:"Apply faults and watch stabilization repair them.")
     Term.(
-      const run $ seed_t $ size_t $ workload_t $ min_fill_t $ max_fill_t
-      $ split_t $ transport_t $ scheduler_t $ crash_t $ corrupt_t $ leave_t)
+      const run $ seed_t $ size_t $ workload_t $ config_t $ transport_t
+      $ crash_t $ corrupt_t $ leave_t)
 
 (* --- inspect ----------------------------------------------------------------- *)
 
 let inspect_cmd =
-  let run seed n workload min_fill max_fill split transport scheduler =
-    let cfg = Cfg.make ~min_fill ~max_fill ~split ~scheduler () in
+  let run seed n workload cfg transport =
     let ov, _ = build_overlay ~cfg ~transport ~seed ~n ~workload in
     print_shape ov;
     Printf.printf "\n";
@@ -366,8 +311,7 @@ let inspect_cmd =
   Cmd.v
     (Cmd.info "inspect" ~doc:"Dump the logical tree of a (small) overlay.")
     Term.(
-      const run $ seed_t $ size_t $ workload_t $ min_fill_t $ max_fill_t
-      $ split_t $ transport_t $ scheduler_t)
+      const run $ seed_t $ size_t $ workload_t $ config_t $ transport_t)
 
 (* --- export ------------------------------------------------------------------ *)
 
@@ -383,8 +327,7 @@ let export_cmd =
       & info [ "format" ] ~docv:"FMT"
           ~doc:"Output format: dot, ascii, edges or svg.")
   in
-  let run seed n workload min_fill max_fill split transport scheduler format =
-    let cfg = Cfg.make ~min_fill ~max_fill ~split ~scheduler () in
+  let run seed n workload cfg transport format =
     let ov, _ = build_overlay ~cfg ~transport ~seed ~n ~workload in
     match format with
     | `Dot -> print_string (Drtree.Export.to_dot ov)
@@ -399,8 +342,8 @@ let export_cmd =
     (Cmd.info "export"
        ~doc:"Export the overlay structure (GraphViz dot, ascii or edge list).")
     Term.(
-      const run $ seed_t $ size_t $ workload_t $ min_fill_t $ max_fill_t
-      $ split_t $ transport_t $ scheduler_t $ format_t)
+      const run $ seed_t $ size_t $ workload_t $ config_t $ transport_t
+      $ format_t)
 
 (* --- aggregate --------------------------------------------------------------- *)
 
@@ -437,9 +380,7 @@ let aggregate_cmd =
       & opt (t4 ~sep:',' float float float float) (0.0, 0.0, 100.0, 100.0)
       & info [ "rect" ] ~docv:"X0,Y0,X1,Y1" ~doc:"Query rectangle.")
   in
-  let run seed n workload min_fill max_fill split transport scheduler forest fn
-      tct epochs (x0, y0, x1, y1) =
-    let cfg = Cfg.make ~min_fill ~max_fill ~split ~scheduler ~forest () in
+  let run seed n workload cfg transport fn tct epochs (x0, y0, x1, y1) =
     let ov, rng = build_overlay ~cfg ~transport ~seed ~n ~workload in
     print_shape ov;
     let rt = Agg.Runtime.attach ov in
@@ -540,9 +481,8 @@ let aggregate_cmd =
          "Run a standing spatial aggregate query (TAG/TiNA-style in-network \
           aggregation) over epochs of synthetic readings.")
     Term.(
-      const run $ seed_t $ size_t $ workload_t $ min_fill_t $ max_fill_t
-      $ split_t $ transport_t $ scheduler_t $ forest_t $ fn_t $ tct_t
-      $ epochs_t $ rect_t)
+      const run $ seed_t $ size_t $ workload_t $ config_t $ transport_t
+      $ fn_t $ tct_t $ epochs_t $ rect_t)
 
 (* --- fuzz -------------------------------------------------------------------- *)
 
@@ -610,14 +550,6 @@ let fuzz_cmd =
       & info [ "replay" ] ~docv:"FILE"
           ~doc:"Replay a saved trace instead of fuzzing; exit 1 if it still fails.")
   in
-  let plant_t =
-    Arg.(
-      value & flag
-      & info [ "plant-cover-bug" ]
-          ~doc:
-            "Disable the post-join/leave cover sweep, planting a known \
-             protocol bug the fuzzer must find.")
-  in
   let probes_t =
     Arg.(
       value & opt int 3
@@ -650,7 +582,7 @@ let fuzz_cmd =
                (String.concat ", " (List.map axis_doc Mck.Fuzz.axes))))
   in
   let run seed traces ops nodes mode sched drop dup max_seconds out replay_file
-      plant probes transport scheduler layout detector forest differential =
+      probes transport config differential =
     if not (drop >= 0.0 && drop < 1.0 && dup >= 0.0 && dup < 1.0) then begin
       Format.eprintf "fuzz: --drop and --dup must lie in [0, 1)@.";
       exit 124
@@ -720,8 +652,7 @@ let fuzz_cmd =
                 while !i < traces && !failed = None && not (stop ()) do
                   let tr =
                     Mck.Fuzz.random_trace rng ~nodes ~ops ~mode:m ~transport
-                      ~sched:sk ~drop ~dup ~cover_sweep:(not plant) ~scheduler
-                      ~layout ~detector ~forest ()
+                      ~sched:sk ~drop ~dup ~config ()
                   in
                   (match check tr with
                   | Ok () -> incr passed
@@ -777,10 +708,13 @@ let fuzz_cmd =
          [
            `S Manpage.s_description;
            `P
-             "$(b,--transport), $(b,--scheduler), $(b,--layout), \
-              $(b,--detector) and $(b,--forest) configure the generated \
-              traces; a replayed trace carries its own directives. Under \
-              the wire transport a decode failure is a counterexample. \
+             "$(b,--transport), $(b,--config) and the per-knob flags \
+              ($(b,--scheduler), $(b,--detector), $(b,--forest), ...) \
+              configure the generated traces; a replayed trace carries its \
+              own transport and config line. $(b,--cover-sweep off) plants \
+              a known protocol bug the fuzzer must find, shrink and save. \
+              Under the wire transport a decode failure is a \
+              counterexample. \
               Heartbeat traces inject crashes silently — nobody is told — \
               and additionally assert crash convergence: every victim \
               confirmed dead by its monitors, and zero false kills on clean \
@@ -788,9 +722,8 @@ let fuzz_cmd =
          ])
     Term.(
       const run $ seed_t $ traces_t $ ops_t $ nodes_t $ mode_t $ sched_t
-      $ drop_t $ dup_t $ max_seconds_t $ out_t $ replay_t $ plant_t $ probes_t
-      $ transport_t $ scheduler_t $ layout_t $ detector_t $ forest_t
-      $ differential_t)
+      $ drop_t $ dup_t $ max_seconds_t $ out_t $ replay_t $ probes_t
+      $ transport_t $ config_t $ differential_t)
 
 let () =
   let doc = "stabilizing peer-to-peer spatial filters (DR-tree)" in

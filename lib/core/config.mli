@@ -23,9 +23,6 @@ type scheduler =
           [scan_fraction] background lane that preserves the
           self-stabilization guarantee against silent corruption *)
 
-val scheduler_to_string : scheduler -> string
-val scheduler_of_string : string -> (scheduler, string) result
-
 (** How {!State} and {!Access} store the per-(process, height) variables
     (DESIGN.md §11). The two layouts are observationally identical — the
     layout-differential harness in [lib/mck] proves equal verdicts,
@@ -41,9 +38,6 @@ type layout =
           dense level arrays delimited by [top], and the process store
           itself an intern-indexed array — O(1) un-hashed access on
           every hot read, the layout that carries N = 10⁵+ (E23) *)
-
-val layout_to_string : layout -> string
-val layout_of_string : string -> (layout, string) result
 
 (** How the overlay learns about departures (DESIGN.md §13). The paper
     assumes crashes are {e known}; [Oracle] models that assumption,
@@ -64,14 +58,6 @@ type detector =
           departure locally — feeding the same [Access.mark] dirty-set
           path the oracle used, with no global knowledge involved. *)
 
-val detector_to_string : detector -> string
-(** ["oracle"], or ["heartbeat:<period>:<timeout_factor>:<fallbacks>"]. *)
-
-val detector_of_string : string -> (detector, string) result
-(** Accepts ["oracle"], ["heartbeat"] (the default parameters:
-    period 1, timeout factor 3, 2 fallbacks), or the full
-    ["heartbeat:P:T:K"] form {!detector_to_string} emits. *)
-
 val default_heartbeat : detector
 (** [Heartbeat {period = 1.0; timeout_factor = 3; fallbacks = 2}]. *)
 
@@ -86,13 +72,6 @@ val default_heartbeat : detector
     sweep, and publish fans out to every other shard whose root MBR
     contains the event. *)
 type forest = Single | Sharded of { shards : int }
-
-val forest_to_string : forest -> string
-(** ["single"], or ["sharded:<shards>"]. *)
-
-val forest_of_string : string -> (forest, string) result
-(** Accepts ["single"] or the ["sharded:K"] form
-    {!forest_to_string} emits, with [1 <= K <= max_shards]. *)
 
 val max_shards : int
 (** Upper bound on [Sharded] shard counts (4096): beyond the Z-order
@@ -147,7 +126,17 @@ type t = {
 val default : t
 (** [m = 2], [M = 4], quadratic split, root oracle, cover sweep on,
     [publish_ttl = 128], full-sweep scheduler, [scan_fraction = 0.05],
-    [seen_capacity = 4096], flat layout, oracle detector. *)
+    [seen_capacity = 4096], flat layout, oracle detector, single
+    forest. *)
+
+val validate : t -> (t, string) result
+(** [Ok c] if [c] is a legal configuration, else [Error] naming the
+    first violated bound: [min_fill < 2], [max_fill < 2 * min_fill]
+    ([m >= 2] keeps interior nodes binary or wider, matching the R-tree
+    root rule), [publish_ttl < 1], [scan_fraction] outside [0, 1],
+    [seen_capacity < 1], a [Heartbeat] detector with [period <= 0],
+    [timeout_factor < 1] or [fallbacks < 0], or a [Sharded] forest with
+    [shards] outside [1 .. max_shards]. *)
 
 val make :
   ?min_fill:int ->
@@ -164,12 +153,38 @@ val make :
   ?forest:forest ->
   unit ->
   t
-(** @raise Invalid_argument if [min_fill < 2],
-    [max_fill < 2 * min_fill] ([m >= 2] keeps interior nodes binary
-    or wider, matching the R-tree root rule), [publish_ttl < 1],
-    [scan_fraction] outside [0, 1], [seen_capacity < 1], a [Heartbeat]
-    detector with [period <= 0], [timeout_factor < 1] or
-    [fallbacks < 0], or a [Sharded] forest with [shards] outside
-    [1 .. max_shards]. *)
+(** @raise Invalid_argument if {!validate} rejects the result. *)
+
+(** {2 The knob table}
+
+    One row per field of {!t}, in declaration order. The rows drive
+    {!to_string} and {!of_string}, the CLI's flags ([--NAME VALUE] for
+    each row, plus [--config STRING]) and the [config] line of
+    [Mck.Trace] files, so a knob's text form is written only here. *)
+
+type field = {
+  name : string;  (** the key: [min-fill], [max-fill], ..., [forest] *)
+  docv : string;  (** the value's shape, for usage text *)
+  doc : string;
+  print : t -> string;  (** the field's value text *)
+  parse : string -> (t -> t, string) result;
+      (** the value text to an update of the field; checks syntax only,
+          range checks are {!validate}'s *)
+}
+
+val fields : field list
+
+val to_string : t -> string
+(** Space-separated [name=value] pairs, every field in table order.
+    Floats print in the shortest form that re-reads exactly, so
+    [of_string (to_string c) = Ok c] for every valid [c]. *)
+
+val of_string : string -> (t, string) result
+(** Reads [name=value] pairs in any order; a missing key takes its
+    {!default}, a later key overrides an earlier one. [detector=heartbeat]
+    means {!default_heartbeat}, and [forest=K] means [sharded:K]. An
+    unknown key, a malformed value or a configuration {!validate}
+    rejects is an [Error]. *)
 
 val pp : Format.formatter -> t -> unit
+(** Prints {!to_string}. *)

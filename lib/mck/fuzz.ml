@@ -93,12 +93,7 @@ let pp_fingerprint ppf f =
     f.fp_traffic
 
 let run_trace_full ?(probes = 3) (tr : Trace.t) =
-  let cfg =
-    Drtree.Config.make ~min_fill:tr.Trace.min_fill ~max_fill:tr.Trace.max_fill
-      ~cover_sweep:tr.Trace.cover_sweep ~scheduler:tr.Trace.scheduler
-      ~layout:tr.Trace.layout ~detector:tr.Trace.detector
-      ~forest:tr.Trace.forest ()
-  in
+  let cfg = tr.Trace.config in
   let transport =
     match tr.Trace.transport with
     | Trace.Inproc -> Sim.Transport.inproc
@@ -139,7 +134,7 @@ let run_trace_full ?(probes = 3) (tr : Trace.t) =
      (nobody is told — the detector must notice), and the run
      additionally asserts the crash-convergence property at the end. *)
   let fd =
-    match tr.Trace.detector with
+    match cfg.Drtree.Config.detector with
     | Drtree.Config.Oracle -> None
     | Drtree.Config.Heartbeat _ -> Some (Fd.Runtime.attach ov)
   in
@@ -299,7 +294,7 @@ let run_trace_full ?(probes = 3) (tr : Trace.t) =
            structural heal (the registry drops a member only on
            conviction), so conviction is guaranteed only with
            [fallbacks > 0]. *)
-        (match (fd, tr.Trace.detector) with
+        (match (fd, cfg.Drtree.Config.detector) with
         | ( Some rt,
             Drtree.Config.Heartbeat { timeout_factor; fallbacks; _ } )
           when !victims <> [] && fallbacks > 0 ->
@@ -346,14 +341,13 @@ let run_trace_full ?(probes = 3) (tr : Trace.t) =
               tele
         | Some _ ->
             let deg = Inv.max_degree ov in
-            if deg > tr.Trace.max_fill then
-              fail `Final "degree bound violated: %d > M=%d" deg
-                tr.Trace.max_fill;
+            if deg > cfg.max_fill then
+              fail `Final "degree bound violated: %d > M=%d" deg cfg.max_fill;
             let h = O.height ov
-            and hb = height_bound ~min_fill:tr.Trace.min_fill n in
+            and hb = height_bound ~min_fill:cfg.min_fill n in
             if h > hb then
               fail `Final "height bound violated: %d > %d for N=%d, m=%d" h hb
-                n tr.Trace.min_fill;
+                n cfg.min_fill;
             Schedule.uninstall eng;
             if n > 0 then begin
               let prng = Rng.make (tr.Trace.seed lxor 0xfeed) in
@@ -452,41 +446,26 @@ type axis = {
   standard : standard;
 }
 
+(* An axis over the knob-table row [name]: each variant is one of the
+   row's value strings, set on the trace's config. *)
+let axis name standard values =
+  let row = List.find (fun f -> f.Drtree.Config.name = name) Drtree.Config.fields in
+  let variant v =
+    match row.parse v with
+    | Ok set -> (v, fun tr -> { tr with Trace.config = set tr.Trace.config })
+    | Error e -> invalid_arg ("Fuzz.axis: " ^ e)
+  in
+  { name; variants = List.map variant values; standard }
+
 let axes =
-  let open Drtree.Config in
   [
-    {
-      name = "scheduler";
-      variants =
-        [
-          ("full", fun tr -> { tr with Trace.scheduler = Full_sweep });
-          ("incremental", fun tr -> { tr with Trace.scheduler = Incremental });
-        ];
-      standard = Verdict_legality;
-    };
-    {
-      name = "layout";
-      variants =
-        [
-          ("hashed", fun tr -> { tr with Trace.layout = Hashed });
-          ("flat", fun tr -> { tr with Trace.layout = Flat });
-        ];
-      standard = Exact;
-    };
-    {
-      (* A one-shard forest runs the whole rendezvous machinery (grid,
-         per-shard claimant caches, shard-scoped guards, cross-shard
-         fan-out loops) yet must reduce to the single tree exactly
-         (DESIGN.md §14). *)
-      name = "forest";
-      variants =
-        [
-          ("single", fun tr -> { tr with Trace.forest = Single });
-          ( "sharded:1",
-            fun tr -> { tr with Trace.forest = Sharded { shards = 1 } } );
-        ];
-      standard = Exact;
-    };
+    axis "scheduler" Verdict_legality [ "full"; "incremental" ];
+    axis "layout" Exact [ "hashed"; "flat" ];
+    (* A one-shard forest runs the whole rendezvous machinery (grid,
+       per-shard claimant caches, shard-scoped guards, cross-shard
+       fan-out loops) yet must reduce to the single tree exactly
+       (DESIGN.md §14). *)
+    axis "forest" Exact [ "single"; "sharded:1" ];
   ]
 
 let pp_verdict ppf = function
@@ -552,27 +531,17 @@ let random_op rng =
 
 let random_trace rng ?(nodes = 8) ?(ops = 10) ?(mode = Trace.Shared)
     ?(transport = Trace.Inproc) ?(sched = Schedule.Random) ?(drop = 0.0)
-    ?(dup = 0.0) ?(cover_sweep = true)
-    ?(scheduler = Drtree.Config.Full_sweep)
-    ?(layout = Drtree.Config.Flat)
-    ?(detector = Drtree.Config.Oracle)
-    ?(forest = Drtree.Config.Single) () =
+    ?(dup = 0.0) ?(config = Drtree.Config.default) () =
   let seed = 1 + Rng.int rng 1_000_000 in
   let n_pre = 3 + Rng.int rng (max 1 (nodes - 2)) in
   {
     Trace.seed;
     mode;
     transport;
-    min_fill = 2;
-    max_fill = 4;
     sched;
     drop;
     dup;
-    cover_sweep;
-    scheduler;
-    layout;
-    detector;
-    forest;
+    config;
     prelude = List.init n_pre (fun _ -> random_rect rng);
     ops = List.init ops (fun _ -> random_op rng);
   }

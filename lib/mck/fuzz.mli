@@ -31,7 +31,7 @@
     no-exception and final-convergence clauses: a dropped JOIN
     legitimately strands the joiner until stabilization.
 
-    {b Heartbeat traces} ([Trace.detector = Heartbeat _], DESIGN.md
+    {b Heartbeat traces} ([config.detector = Heartbeat _], DESIGN.md
     §13) additionally run the failure detector: [Crash] ops are
     injected {e silently} ({!Drtree.Overlay.crash_silent} — nobody is
     told), and the final phase asserts the crash-convergence
@@ -122,13 +122,12 @@ type axis = {
 }
 
 val axes : axis list
-(** The configuration axes with a reference realization:
-    - [scheduler]: [full] vs [incremental] ([Config.scheduler]),
-      [Verdict_legality];
-    - [layout]: [hashed] vs [flat] ([Config.layout]), [Exact]
-      (DESIGN.md §11);
-    - [forest]: [single] vs [sharded:1] ([Config.forest]), [Exact]
-      (DESIGN.md §14). *)
+(** The configuration axes with a reference realization. Each is a
+    row of {!Drtree.Config.fields}, and its variants are named by the
+    row's value strings and set on the trace's [config]:
+    - [scheduler]: [full] vs [incremental], [Verdict_legality];
+    - [layout]: [hashed] vs [flat], [Exact] (DESIGN.md §11);
+    - [forest]: [single] vs [sharded:1], [Exact] (DESIGN.md §14). *)
 
 val differential : ?probes:int -> axis -> Trace.t -> (unit, string) result
 (** Run the trace under each of [axis]'s variants and compare every run
@@ -150,16 +149,13 @@ val random_trace :
   ?sched:Schedule.kind ->
   ?drop:float ->
   ?dup:float ->
-  ?cover_sweep:bool ->
-  ?scheduler:Drtree.Config.scheduler ->
-  ?layout:Drtree.Config.layout ->
-  ?detector:Drtree.Config.detector ->
-  ?forest:Drtree.Config.forest ->
+  ?config:Drtree.Config.t ->
   unit ->
   Trace.t
 (** A random trace: a prelude of 3 to [nodes] joins, then [ops]
     weighted random operations (joins and corruptions are the most
-    frequent). The overlay seed is drawn from [rng]. *)
+    frequent), run under [config] (default {!Drtree.Config.default}).
+    The overlay seed is drawn from [rng]. *)
 
 val fuzz :
   ?probes:int ->

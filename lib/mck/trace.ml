@@ -32,16 +32,10 @@ type t = {
   seed : int;
   mode : mode;
   transport : transport;
-  min_fill : int;
-  max_fill : int;
   sched : Schedule.kind;
   drop : float;
   dup : float;
-  cover_sweep : bool;
-  scheduler : Drtree.Config.scheduler;
-  layout : Drtree.Config.layout;
-  detector : Drtree.Config.detector;
-  forest : Drtree.Config.forest;
+  config : Drtree.Config.t;
   prelude : R.t list;
   ops : op list;
 }
@@ -60,16 +54,11 @@ let pp_op ppf = function
 
 let pp ppf t =
   Format.fprintf ppf
-    "@[<v>seed=%d mode=%s transport=%s m=%d M=%d sched=%a drop=%g dup=%g \
-     cover_sweep=%b scheduler=%s layout=%s detector=%s forest=%s@,\
-     prelude (%d joins):@,%a@,ops (%d):@,%a@]"
+    "@[<v>seed=%d mode=%s transport=%s sched=%a drop=%g dup=%g@,\
+     config %a@,prelude (%d joins):@,%a@,ops (%d):@,%a@]"
     t.seed (mode_to_string t.mode)
     (transport_to_string t.transport)
-    t.min_fill t.max_fill Schedule.pp_kind t.sched t.drop t.dup t.cover_sweep
-    (Drtree.Config.scheduler_to_string t.scheduler)
-    (Drtree.Config.layout_to_string t.layout)
-    (Drtree.Config.detector_to_string t.detector)
-    (Drtree.Config.forest_to_string t.forest)
+    Schedule.pp_kind t.sched t.drop t.dup Drtree.Config.pp t.config
     (List.length t.prelude)
     (Format.pp_print_list ~pp_sep:Format.pp_print_cut (fun ppf r ->
          Format.fprintf ppf "  join %a" R.pp r))
@@ -81,9 +70,10 @@ let pp ppf t =
 (* {2 Codec}
 
    Line-oriented text so counterexamples in repro/ are diffable and
-   hand-editable. Floats print with %.17g and so round-trip exactly. *)
+   hand-editable. Floats print with %.17g, and the config line with
+   Config.to_string's exact form, so both round-trip exactly. *)
 
-let header = "drtree-trace v1"
+let header = "drtree-trace v2"
 
 let float_str f = Printf.sprintf "%.17g" f
 
@@ -112,16 +102,10 @@ let to_string t =
   line "seed %d" t.seed;
   line "mode %s" (mode_to_string t.mode);
   line "transport %s" (transport_to_string t.transport);
-  line "min_fill %d" t.min_fill;
-  line "max_fill %d" t.max_fill;
   line "sched %s" (Schedule.kind_to_string t.sched);
   line "drop %s" (float_str t.drop);
   line "dup %s" (float_str t.dup);
-  line "cover_sweep %s" (if t.cover_sweep then "on" else "off");
-  line "scheduler %s" (Drtree.Config.scheduler_to_string t.scheduler);
-  line "layout %s" (Drtree.Config.layout_to_string t.layout);
-  line "detector %s" (Drtree.Config.detector_to_string t.detector);
-  line "forest %s" (Drtree.Config.forest_to_string t.forest);
+  line "config %s" (Drtree.Config.to_string t.config);
   List.iter (fun r -> line "prelude %s" (rect_str r)) t.prelude;
   List.iter (fun o -> line "%s" (op_str o)) t.ops;
   line "end";
@@ -132,16 +116,10 @@ let default =
     seed = 1;
     mode = Shared;
     transport = Inproc;
-    min_fill = 2;
-    max_fill = 4;
     sched = Schedule.Fifo;
     drop = 0.0;
     dup = 0.0;
-    cover_sweep = true;
-    scheduler = Drtree.Config.Full_sweep;
-    layout = Drtree.Config.Flat;
-    detector = Drtree.Config.Oracle;
-    forest = Drtree.Config.Single;
+    config = Drtree.Config.default;
     prelude = [];
     ops = [];
   }
@@ -219,31 +197,15 @@ let of_string s =
                 match transport_of_string v with
                 | Ok tr -> t := { !t with transport = tr }
                 | Error e -> fail "%s: %s" ctx e)
-            | [ "min_fill"; v ] -> t := { !t with min_fill = int_of ctx v }
-            | [ "max_fill"; v ] -> t := { !t with max_fill = int_of ctx v }
             | [ "sched"; v ] -> (
                 match Schedule.kind_of_string v with
                 | Ok k -> t := { !t with sched = k }
                 | Error e -> fail "%s: %s" ctx e)
             | [ "drop"; v ] -> t := { !t with drop = float_of ctx v }
             | [ "dup"; v ] -> t := { !t with dup = float_of ctx v }
-            | [ "cover_sweep"; "on" ] -> t := { !t with cover_sweep = true }
-            | [ "cover_sweep"; "off" ] -> t := { !t with cover_sweep = false }
-            | [ "scheduler"; v ] -> (
-                match Drtree.Config.scheduler_of_string v with
-                | Ok sch -> t := { !t with scheduler = sch }
-                | Error e -> fail "%s: %s" ctx e)
-            | [ "layout"; v ] -> (
-                match Drtree.Config.layout_of_string v with
-                | Ok l -> t := { !t with layout = l }
-                | Error e -> fail "%s: %s" ctx e)
-            | [ "detector"; v ] -> (
-                match Drtree.Config.detector_of_string v with
-                | Ok d -> t := { !t with detector = d }
-                | Error e -> fail "%s: %s" ctx e)
-            | [ "forest"; v ] -> (
-                match Drtree.Config.forest_of_string v with
-                | Ok f -> t := { !t with forest = f }
+            | "config" :: kvs -> (
+                match Drtree.Config.of_string (String.concat " " kvs) with
+                | Ok c -> t := { !t with config = c }
                 | Error e -> fail "%s: %s" ctx e)
             | "prelude" :: rest -> prelude := parse_rect ctx rest :: !prelude
             | "op" :: rest -> ops := parse_op ctx rest :: !ops

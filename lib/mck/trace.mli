@@ -21,8 +21,7 @@ type transport = Inproc | Wire
     every inter-process message through {!Drtree.Message.Codec}, so a
     trace also model-checks the serialization boundary: any decode
     failure during the run is a counterexample. Traces without a
-    [transport] line parse as [Inproc] (the format is
-    backward-compatible). *)
+    [transport] line parse as [Inproc]. *)
 
 val transport_to_string : transport -> string
 val transport_of_string : string -> (transport, string) result
@@ -48,54 +47,35 @@ type t = {
   seed : int;
   mode : mode;
   transport : transport;
-  min_fill : int;
-  max_fill : int;
   sched : Schedule.kind;
   drop : float;
   dup : float;
-  cover_sweep : bool;  (** [false] plants the known cover-sweep bug *)
-  scheduler : Drtree.Config.scheduler;
-      (** which repair scheduler the replayed overlay runs
-          (DESIGN.md §10); traces without a [scheduler] line parse as
-          [Full_sweep] (backward-compatible) *)
-  layout : Drtree.Config.layout;
-      (** which state-store layout the replayed overlay runs
-          (DESIGN.md §11); traces without a [layout] line parse as
-          [Flat] (backward-compatible — the layouts are held
-          observationally identical by the layout differential, so old
-          counterexamples replay unchanged) *)
-  detector : Drtree.Config.detector;
-      (** which failure detector the replayed overlay runs
-          (DESIGN.md §13); traces without a [detector] line parse as
-          [Oracle] (backward-compatible — the paper's known-crash
-          model, and the bit-identical default). Under [Heartbeat _]
-          the fuzzer attaches [Fd.Runtime], injects [Crash] ops {e
-          silently} ({!Drtree.Overlay.crash_silent}) and additionally
-          asserts the crash-convergence property — see {!Fuzz}. *)
-  forest : Drtree.Config.forest;
-      (** which rendezvous forest the replayed overlay runs
-          (DESIGN.md §14); traces without a [forest] line parse as
-          [Single] (backward-compatible — the pre-forest single tree,
-          which [Sharded] with one shard matches bit-for-bit, enforced
-          by the forest differential). Under shards [> 1] the
-          aggregation-exactness assert is skipped: [lib/agg] attaches
-          to one tree only. *)
+  config : Drtree.Config.t;
+      (** the replayed overlay's configuration, run as is. Traces
+          without a [config] line parse as {!Drtree.Config.default}.
+          [cover_sweep = false] plants the known cover-sweep bug. Under
+          a [Heartbeat _] detector (DESIGN.md §13) the fuzzer attaches
+          [Fd.Runtime], injects [Crash] ops {e silently}
+          ({!Drtree.Overlay.crash_silent}) and additionally asserts the
+          crash-convergence property — see {!Fuzz}. *)
   prelude : Geometry.Rect.t list;
   ops : op list;
 }
 
 val default : t
-(** Seed 1, shared mode, inproc transport, [m = 2], [M = 4], FIFO
-    schedule, no faults, cover sweep on, full-sweep scheduler, flat
-    layout, oracle detector, single forest, empty prelude and ops. *)
+(** Seed 1, shared mode, inproc transport, FIFO schedule, no faults,
+    {!Drtree.Config.default}, empty prelude and ops. *)
 
 val pp_op : Format.formatter -> op -> unit
 val pp : Format.formatter -> t -> unit
 
 (** {2 Codec}
 
-    Line-oriented text; floats are printed with [%.17g] and round-trip
-    exactly. [of_string (to_string t)] re-reads [t] unchanged. *)
+    Line-oriented text under a [drtree-trace v2] header. The
+    configuration is one [config] line in {!Drtree.Config.to_string}'s
+    form; other floats are printed with [%.17g]. Every float
+    round-trips exactly: [of_string (to_string t)] re-reads [t]
+    unchanged. *)
 
 val to_string : t -> string
 val of_string : string -> (t, string) result

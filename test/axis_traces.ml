@@ -12,6 +12,8 @@ module Fuzz = Mck.Fuzz
 
 type batch = { base : int; count : int; gen : Sim.Rng.t -> Trace.t }
 
+let incremental = { Cfg.default with Cfg.scheduler = Cfg.Incremental }
+
 let batches =
   [
     ( "scheduler",
@@ -40,7 +42,7 @@ let batches =
           gen =
             (fun rng ->
               Fuzz.random_trace rng ~transport:Trace.Wire
-                ~scheduler:Cfg.Incremental ~drop:0.1 ());
+                ~config:incremental ~drop:0.1 ());
         };
       ] );
     ( "forest",
@@ -56,7 +58,7 @@ let batches =
           gen =
             (fun rng ->
               Fuzz.random_trace rng ~transport:Trace.Wire
-                ~scheduler:Cfg.Incremental ~sched:Mck.Schedule.Random
+                ~config:incremental ~sched:Mck.Schedule.Random
                 ~drop:0.1 ());
         };
       ] );

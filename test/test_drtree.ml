@@ -79,6 +79,84 @@ let test_config () =
     (try ignore (Cfg.make ~min_fill:3 ~max_fill:5 ()); false
      with Invalid_argument _ -> true)
 
+(* Valid configurations over all 12 fields. The floats are uniform
+   draws, so they carry more than 6 significant digits. *)
+let gen_config =
+  let open QCheck2.Gen in
+  let* min_fill = int_range 2 6 in
+  let+ max_fill = int_range (2 * min_fill) ((2 * min_fill) + 6)
+  and+ split = oneofl Rtree.Split.[ Linear; Quadratic; Rstar ]
+  and+ oracle = oneofl Cfg.[ Root_oracle; Random_oracle ]
+  and+ cover_sweep = bool
+  and+ publish_ttl = int_range 1 1000
+  and+ scheduler = oneofl Cfg.[ Full_sweep; Incremental ]
+  and+ scan_fraction = float_bound_inclusive 1.0
+  and+ seen_capacity = int_range 1 100_000
+  and+ layout = oneofl Cfg.[ Hashed; Flat ]
+  and+ detector =
+    oneof
+      [
+        pure Cfg.Oracle;
+        map3
+          (fun period timeout_factor fallbacks ->
+            Cfg.Heartbeat { period; timeout_factor; fallbacks })
+          (float_range 1e-3 100.0) (int_range 1 64) (int_range 0 8);
+      ]
+  and+ forest =
+    oneof
+      [
+        pure Cfg.Single;
+        map (fun shards -> Cfg.Sharded { shards }) (int_range 1 Cfg.max_shards);
+      ]
+  in
+  { Cfg.min_fill; max_fill; split; oracle; cover_sweep; publish_ttl; scheduler;
+    scan_fraction; seen_capacity; layout; detector; forest }
+
+(* Text round-trips exactly, both as a config string and as a trace's
+   config line. *)
+let knob_table_round_trip =
+  QCheck2.Test.make ~name:"knob table round-trip" ~count:500
+    ~print:Cfg.to_string gen_config (fun c ->
+      let tr = { Mck.Trace.default with Mck.Trace.config = c } in
+      Cfg.validate c = Ok c
+      && Cfg.of_string (Cfg.to_string c) = Ok c
+      && Mck.Trace.of_string (Mck.Trace.to_string tr) = Ok tr)
+
+let test_knob_table_cases () =
+  let d = Cfg.default in
+  let reads s want =
+    (match Cfg.of_string s with
+    | Ok c -> check_bool (Printf.sprintf "%S is read" s) true (c = want)
+    | Error e -> Alcotest.failf "%S rejected: %s" s e);
+    check_bool
+      (Printf.sprintf "%S round-trips" (Cfg.to_string want))
+      true
+      (Cfg.of_string (Cfg.to_string want) = Ok want)
+  in
+  reads "" d;
+  reads "layout=hashed" { d with Cfg.layout = Cfg.Hashed };
+  reads "detector=heartbeat" { d with Cfg.detector = Cfg.default_heartbeat };
+  reads "detector=heartbeat:2.5:5:0"
+    { d with
+      Cfg.detector =
+        Cfg.Heartbeat { period = 2.5; timeout_factor = 5; fallbacks = 0 } };
+  reads "forest=4" { d with Cfg.forest = Cfg.Sharded { shards = 4 } };
+  reads "forest=sharded:1" { d with Cfg.forest = Cfg.Sharded { shards = 1 } };
+  reads "forest=sharded:4096"
+    { d with Cfg.forest = Cfg.Sharded { shards = Cfg.max_shards } };
+  reads "forest=2 forest=single" d;
+  check_bool "pp prints to_string" true
+    (Format.asprintf "%a" Cfg.pp d = Cfg.to_string d);
+  List.iter
+    (fun s ->
+      check_bool (Printf.sprintf "%S rejected" s) true
+        (Result.is_error (Cfg.of_string s)))
+    [
+      "layout=bogus"; "scheduler=bogus"; "detector=telepathy";
+      "forest=sharded:zero"; "forest=0"; "forest=4097";
+      "min-fill=3 max-fill=4"; "zeal=1"; "layout";
+    ]
+
 (* --- Joins ------------------------------------------------------------------ *)
 
 let test_single_node () =
@@ -391,7 +469,12 @@ let () =
             test_state_activate_deactivate;
           Alcotest.test_case "seen marks" `Quick test_state_seen;
         ] );
-      ("config", [ Alcotest.test_case "validation" `Quick test_config ]);
+      ( "config",
+        [
+          Alcotest.test_case "validation" `Quick test_config;
+          QCheck_alcotest.to_alcotest knob_table_round_trip;
+          Alcotest.test_case "knob table cases" `Quick test_knob_table_cases;
+        ] );
       ( "join",
         [
           Alcotest.test_case "single node" `Quick test_single_node;

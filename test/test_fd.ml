@@ -47,21 +47,23 @@ let test_attach_rejects_oracle () =
     Alcotest.fail "attach under Oracle must be rejected"
   with Invalid_argument _ -> ()
 
+(* The detector's text form is its knob-table row: the [detector] key of
+   Config.to_string / of_string. *)
 let test_detector_strings () =
   let roundtrip d =
-    match Cfg.detector_of_string (Cfg.detector_to_string d) with
-    | Ok d' -> check_bool "detector string round-trips" true (d = d')
-    | Error e -> Alcotest.failf "detector_of_string: %s" e
+    let c = { Cfg.default with Cfg.detector = d } in
+    match Cfg.of_string (Cfg.to_string c) with
+    | Ok c' -> check_bool "detector string round-trips" true (c' = c)
+    | Error e -> Alcotest.failf "Config.of_string: %s" e
   in
   roundtrip Cfg.Oracle;
   roundtrip Cfg.default_heartbeat;
   roundtrip (Cfg.Heartbeat { period = 2.5; timeout_factor = 5; fallbacks = 0 });
   check_bool "bare heartbeat means the default" true
-    (Cfg.detector_of_string "heartbeat" = Ok Cfg.default_heartbeat);
+    (Cfg.of_string "detector=heartbeat"
+    = Ok { Cfg.default with Cfg.detector = Cfg.default_heartbeat });
   check_bool "garbage is rejected" true
-    (match Cfg.detector_of_string "telepathy" with
-    | Error _ -> true
-    | Ok _ -> false)
+    (Result.is_error (Cfg.of_string "detector=telepathy"))
 
 (* --- Crash detection ------------------------------------------------------ *)
 
@@ -275,8 +277,10 @@ let heartbeat_sweep ~base ~transport ~scheduler ?(drop = 0.0) () =
   for i = 0 to 29 do
     let rng = Rng.make (base + i) in
     let tr =
-      Fuzz.random_trace rng ~transport ~scheduler ~drop
-        ~detector:Cfg.default_heartbeat ()
+      Fuzz.random_trace rng ~transport ~drop
+        ~config:
+          { Cfg.default with Cfg.scheduler; detector = Cfg.default_heartbeat }
+        ()
     in
     match Fuzz.run_trace tr with
     | Fuzz.Passed -> ()

@@ -195,16 +195,6 @@ let test_sharded_build_exact () =
 let test_config_forest () =
   check_bool "default is the single tree" true
     (Cfg.default.Cfg.forest = Cfg.Single);
-  let roundtrip f =
-    match Cfg.forest_of_string (Cfg.forest_to_string f) with
-    | Ok f' -> check_bool "forest string round-trips" true (f = f')
-    | Error e -> Alcotest.failf "forest_of_string: %s" e
-  in
-  roundtrip Cfg.Single;
-  roundtrip (Cfg.Sharded { shards = 1 });
-  roundtrip (Cfg.Sharded { shards = Cfg.max_shards });
-  check_bool "garbage is rejected" true
-    (Result.is_error (Cfg.forest_of_string "sharded:zero"));
   (try
      ignore (Cfg.make ~forest:(Cfg.Sharded { shards = 0 }) ());
      Alcotest.fail "shards=0 must be rejected"

@@ -154,11 +154,13 @@ let test_axes_have_traces () =
 
 (* --- The planted cover-sweep bug ------------------------------------------------ *)
 
+let planted = { Drtree.Config.default with Drtree.Config.cover_sweep = false }
+
 let find_planted_failure () =
   let rng = Sim.Rng.make 0xb0b in
   let gen _ =
     Fuzz.random_trace rng ~nodes:8 ~ops:8 ~mode:Trace.Shared
-      ~sched:Schedule.Fifo ~cover_sweep:false ()
+      ~sched:Schedule.Fifo ~config:planted ()
   in
   match Fuzz.fuzz ~traces:200 ~gen () with
   | None ->
@@ -192,7 +194,8 @@ let test_planted_bug_detect_shrink_replay () =
           | Fuzz.Passed -> Alcotest.fail "replay did not reproduce"));
   (* Control: the identical scenario with the sweep enabled is fine —
      the failure really is the planted bug, not the scenario. *)
-  match Fuzz.run_trace { small with Trace.cover_sweep = true } with
+  let config = { small.Trace.config with Drtree.Config.cover_sweep = true } in
+  match Fuzz.run_trace { small with Trace.config } with
   | Fuzz.Passed -> ()
   | Fuzz.Failed f ->
       Alcotest.failf "control run (sweep enabled) failed: %s" (failure_str f)
@@ -201,7 +204,7 @@ let test_planted_bug_in_mp_mode () =
   let rng = Sim.Rng.make 0xcafe in
   let gen _ =
     Fuzz.random_trace rng ~nodes:8 ~ops:8 ~mode:Trace.Message_passing
-      ~sched:Schedule.Fifo ~cover_sweep:false ()
+      ~sched:Schedule.Fifo ~config:planted ()
   in
   match Fuzz.fuzz ~traces:200 ~gen () with
   | None ->
@@ -215,16 +218,20 @@ let exemplar =
     Trace.seed = 77;
     mode = Trace.Message_passing;
     transport = Trace.Wire;
-    min_fill = 2;
-    max_fill = 5;
     sched = Schedule.Delay_checks;
     drop = 0.125;
     dup = 0.0625;
-    cover_sweep = false;
-    scheduler = Drtree.Config.Incremental;
-    layout = Drtree.Config.Hashed;
-    detector = Drtree.Config.Oracle;
-    forest = Drtree.Config.Sharded { shards = 3 };
+    config =
+      (* Floats with more than 6 significant digits: %g would round
+         them. *)
+      Drtree.Config.make ~max_fill:5 ~cover_sweep:false
+        ~scheduler:Drtree.Config.Incremental ~scan_fraction:0.0123456789
+        ~layout:Drtree.Config.Hashed
+        ~detector:
+          (Drtree.Config.Heartbeat
+             { period = 0.1234567; timeout_factor = 4; fallbacks = 1 })
+        ~forest:(Drtree.Config.Sharded { shards = 3 })
+        ();
     prelude = [ rect 1.5 2.25 8.75 9.125; rect 0.1 0.2 0.3 0.4 ];
     ops =
       [
@@ -240,9 +247,7 @@ let exemplar =
 
 let test_codec_round_trip () =
   match Trace.of_string (Trace.to_string exemplar) with
-  | Ok t ->
-      check_string "all fields and ops survive"
-        (Trace.to_string exemplar) (Trace.to_string t)
+  | Ok t -> check_bool "all fields, floats and ops survive" true (t = exemplar)
   | Error e -> Alcotest.fail e
 
 let test_codec_float_exactness () =
@@ -257,14 +262,19 @@ let test_codec_float_exactness () =
 let test_codec_rejects_garbage () =
   check_bool "bad header" true
     (Result.is_error (Trace.of_string "not a trace\nseed 1\nend\n"));
+  check_bool "v1 header" true
+    (Result.is_error (Trace.of_string "drtree-trace v1\nseed 1\nend\n"));
   check_bool "bad op" true
     (Result.is_error
-       (Trace.of_string "drtree-trace v1\nop warp 1 2 3\nend\n"));
+       (Trace.of_string "drtree-trace v2\nop warp 1 2 3\nend\n"));
   check_bool "bad float" true
-    (Result.is_error (Trace.of_string "drtree-trace v1\ndrop zeal\nend\n"));
+    (Result.is_error (Trace.of_string "drtree-trace v2\ndrop zeal\nend\n"));
+  check_bool "bad config" true
+    (Result.is_error
+       (Trace.of_string "drtree-trace v2\nconfig layout=bogus\nend\n"));
   check_bool "bad aggregate function" true
     (Result.is_error
-       (Trace.of_string "drtree-trace v1\nop agg zeal 0 0 1 1\nend\n"))
+       (Trace.of_string "drtree-trace v2\nop agg zeal 0 0 1 1\nend\n"))
 
 let test_codec_save_load () =
   let file = Filename.temp_file "drtree-mck" ".trace" in

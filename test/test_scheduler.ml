@@ -211,7 +211,8 @@ let test_scheduler_height_carve_out () =
     let mode = if i mod 2 = 0 then Trace.Shared else Trace.Message_passing in
     let tr = Fuzz.random_trace rng ~mode ~sched:Mck.Schedule.Fifo () in
     let height scheduler =
-      let _, s, _ = Fuzz.run_trace_full { tr with Trace.scheduler } in
+      let config = { tr.Trace.config with Cfg.scheduler } in
+      let _, s, _ = Fuzz.run_trace_full { tr with Trace.config } in
       s.Fuzz.final_height
     in
     if height Cfg.Full_sweep <> height Cfg.Incremental then incr differ
@@ -268,14 +269,17 @@ let test_overlay_threads_seen_capacity () =
 
 (* --- Config scheduler plumbing ------------------------------------------- *)
 
+(* The scheduler's text form is its knob-table row: the [scheduler] key
+   of Config.to_string / of_string. *)
 let test_scheduler_strings () =
   List.iter
     (fun s ->
-      match Cfg.scheduler_of_string (Cfg.scheduler_to_string s) with
-      | Ok s' -> check_bool "scheduler string round-trip" true (s = s')
+      let c = { Cfg.default with Cfg.scheduler = s } in
+      match Cfg.of_string (Cfg.to_string c) with
+      | Ok c' -> check_bool "scheduler string round-trip" true (c' = c)
       | Error e -> Alcotest.failf "scheduler round-trip failed: %s" e)
     [ Cfg.Full_sweep; Cfg.Incremental ];
-  match Cfg.scheduler_of_string "bogus" with
+  match Cfg.of_string "scheduler=bogus" with
   | Ok _ -> Alcotest.fail "bogus scheduler accepted"
   | Error _ -> ()
 

@@ -1,11 +1,11 @@
 (* The flat interned state layout (DESIGN.md §11): the intern table's
    slot contract under churn, packed dirty keys, Hashed-vs-Flat
    observational equivalence of [State] under random activation
-   sequences, the layout directive in the trace codec, and the mck
-   layout axis over random traces — the headline bit-identical
+   sequences, the layout key of the trace codec's config line, and the
+   mck layout axis over random traces — the headline bit-identical
    guarantee, at test scale (fixed traces in axis_traces.ml;
-   `fuzz --differential layout` runs it at thousands of traces) —
-   plus the differential harness's failure paths. *)
+   `fuzz --differential layout` runs it at thousands of traces) — plus
+   the differential harness's failure paths. *)
 
 module R = Geometry.Rect
 module O = Drtree.Overlay
@@ -279,31 +279,47 @@ let test_differential_detects () =
   | Ok () -> ()
   | Error msg -> Alcotest.failf "Verdict_legality compared shapes: %s" msg
 
-(* --- Trace codec: the layout directive ----------------------------------- *)
+(* --- Trace codec: the layout in the config line ------------------------- *)
 
 let test_trace_layout_directive () =
-  let tr = { Trace.default with Trace.layout = Cfg.Hashed; seed = 5 } in
+  let tr =
+    { Trace.default with
+      Trace.config = { Cfg.default with Cfg.layout = Cfg.Hashed };
+      seed = 5 }
+  in
   (match Trace.of_string (Trace.to_string tr) with
-  | Ok t -> check_bool "layout survives round-trip" true (t.Trace.layout = Cfg.Hashed)
-  | Error e -> Alcotest.fail e);
-  (* Old traces (no layout line) parse as Flat. *)
-  (match Trace.of_string "drtree-trace v1\nseed 3\nend\n" with
   | Ok t ->
-      check_bool "missing directive defaults to flat" true
-        (t.Trace.layout = Cfg.Flat)
+      check_bool "layout survives round-trip" true
+        (t.Trace.config.Cfg.layout = Cfg.Hashed)
   | Error e -> Alcotest.fail e);
-  match Trace.of_string "drtree-trace v1\nlayout bogus\nend\n" with
+  (* A trace without a config line, or a config line without a layout
+     key, parses as Flat. *)
+  List.iter
+    (fun text ->
+      match Trace.of_string text with
+      | Ok t ->
+          check_bool "missing layout defaults to flat" true
+            (t.Trace.config.Cfg.layout = Cfg.Flat)
+      | Error e -> Alcotest.fail e)
+    [
+      "drtree-trace v2\nseed 3\nend\n";
+      "drtree-trace v2\nseed 3\nconfig scheduler=incremental\nend\n";
+    ];
+  match Trace.of_string "drtree-trace v2\nconfig layout=bogus\nend\n" with
   | Ok _ -> Alcotest.fail "bogus layout accepted"
   | Error _ -> ()
 
+(* The layout's text form is its knob-table row: the [layout] key of
+   Config.to_string / of_string. *)
 let test_layout_strings () =
   List.iter
     (fun l ->
-      match Cfg.layout_of_string (Cfg.layout_to_string l) with
-      | Ok l' -> check_bool "layout string round-trip" true (l = l')
+      let c = { Cfg.default with Cfg.layout = l } in
+      match Cfg.of_string (Cfg.to_string c) with
+      | Ok c' -> check_bool "layout string round-trip" true (c' = c)
       | Error e -> Alcotest.failf "layout round-trip failed: %s" e)
     [ Cfg.Hashed; Cfg.Flat ];
-  match Cfg.layout_of_string "bogus" with
+  match Cfg.of_string "layout=bogus" with
   | Ok _ -> Alcotest.fail "bogus layout accepted"
   | Error _ -> ()
 
