@@ -43,129 +43,3 @@ let e23 () =
         (Inv.max_memory_words ov))
     (e23_sizes ());
   Table.print table
-
-(* --- E26: repair scheduling — full sweep vs incremental ------------------ *)
-
-(* The dirty-set scheduler's headline claims (DESIGN.md §10), measured
-   across three load phases per population: build (churn of N joins),
-   quiescent rounds on the converged tree, then a marked-corruption
-   burst. For each (N, scheduler) the table reports wall-clock and
-   CHECK_* executions; the run {e asserts} scheduler equivalence (same
-   final height, FP rate, and legality under both) and that quiescent
-   incremental rounds skip work — a violated assertion aborts the
-   suite, so CI can smoke this experiment at a small N. *)
-
-type e26_phase = { wall : float; execs : int; skipped : int }
-
-let e26_sizes () =
-  sizes_of_env "DRTREE_E26_SIZES" ~default:[ 1024; 4096; 8192 ]
-
-let e26_quiescent_rounds = 10
-
-let e26_run ~n scheduler =
-  let cfg = Drtree.Config.make ~scheduler () in
-  let rng = Rng.make (26000 + n) in
-  let rects = Sg.uniform () space rng n in
-  let ov = O.create ~cfg ~seed:(26 + n) () in
-  let tele = O.telemetry ov in
-  let skipped_since mark =
-    List.fold_left
-      (fun acc (r : Drtree.Telemetry.round_report) ->
-        if r.Drtree.Telemetry.round >= mark then
-          acc + r.Drtree.Telemetry.skipped
-        else acc)
-      0
-      (Drtree.Telemetry.rounds tele)
-  in
-  let phase f =
-    let e0 = Drtree.Telemetry.execs tele in
-    let r0 = List.length (Drtree.Telemetry.rounds tele) in
-    let t0 = now () in
-    f ();
-    {
-      wall = now () -. t0;
-      execs = Drtree.Telemetry.execs tele - e0;
-      skipped = skipped_since r0;
-    }
-  in
-  let build =
-    phase (fun () ->
-        List.iter (fun r -> ignore (O.join ov r)) rects;
-        ignore (O.stabilize ~max_rounds:200 ~legal:Inv.is_legal ov))
-  in
-  let quiescent =
-    phase (fun () ->
-        for _ = 1 to e26_quiescent_rounds do
-          O.stabilize_round ov
-        done)
-  in
-  let corruption =
-    phase (fun () ->
-        let crng = Rng.make (2600 + n) in
-        let victims = Drtree.Corrupt.random_victims ov crng ~fraction:0.02 in
-        List.iter (fun v -> ignore (Drtree.Corrupt.any ov crng v)) victims;
-        ignore (O.stabilize ~max_rounds:200 ~legal:Inv.is_legal ov))
-  in
-  let acc = run_events ov ~rng (Eg.uniform space rng 50) in
-  (ov, build, quiescent, corruption, acc)
-
-let e26 () =
-  let table =
-    Table.create
-      ~title:
-        "E26  repair scheduling: full sweep vs incremental (dirty set + scan \
-         lane)"
-      ~columns:
-        [
-          "N"; "sched"; "build s"; "build execs"; "quiet s"; "quiet execs";
-          "quiet skipped"; "corrupt s"; "corrupt execs"; "height"; "FP %";
-        ]
-  in
-  let row n label (b : e26_phase) (q : e26_phase) (c : e26_phase) ov acc =
-    Table.add_rowf table "%d|%s|%.2f|%d|%.3f|%d|%d|%.3f|%d|%d|%.2f" n label
-      b.wall b.execs q.wall q.execs q.skipped c.wall c.execs (O.height ov)
-      (pct acc.fp_rate)
-  in
-  List.iter
-    (fun n ->
-      let ov_f, b_f, q_f, c_f, acc_f = e26_run ~n Drtree.Config.Full_sweep in
-      let ov_i, b_i, q_i, c_i, acc_i = e26_run ~n Drtree.Config.Incremental in
-      row n "full" b_f q_f c_f ov_f acc_f;
-      row n "incr" b_i q_i c_i ov_i acc_i;
-      (* Scheduler equivalence: same seeds, same tree. *)
-      if not (Inv.is_legal ov_f && Inv.is_legal ov_i) then
-        failwith
-          (Printf.sprintf "E26: illegal final state at N=%d (full=%b incr=%b)"
-             n (Inv.is_legal ov_f) (Inv.is_legal ov_i));
-      if O.height ov_f <> O.height ov_i then
-        failwith
-          (Printf.sprintf "E26: heights differ at N=%d (full=%d incr=%d)" n
-             (O.height ov_f) (O.height ov_i));
-      (* FP rates are compared within a tolerance, not exactly: marks
-         are complete, but an instance made actionable mid-round is
-         repaired the same round by a full sweep's later passes and
-         only next round by the start-of-round incremental plan, so at
-         scale a repair cascade can settle on a different — equally
-         legal — fixpoint (DESIGN.md §10); the mck scheduler
-         differential likewise compares membership/legality, not
-         height, on strict schedules. Equal heights at these fixed
-         seeds are an empirical observation, asserted to pin the
-         measurement down. *)
-      if abs_float (acc_f.fp_rate -. acc_i.fp_rate) > 2e-4 then
-        failwith
-          (Printf.sprintf "E26: FP rates diverge at N=%d (full=%g incr=%g)" n
-             acc_f.fp_rate acc_i.fp_rate);
-      if q_i.skipped = 0 then
-        failwith
-          (Printf.sprintf "E26: incremental skipped nothing at N=%d" n);
-      if q_i.execs * 5 > q_f.execs then
-        failwith
-          (Printf.sprintf
-             "E26: quiescent rounds not >=5x cheaper at N=%d (full=%d \
-              incr=%d)"
-             n q_f.execs q_i.execs))
-    (e26_sizes ());
-  Table.print table;
-  Format.printf
-    "scheduler equivalence holds (height/FP/legality); quiescent rounds \
-     execute >=5x fewer CHECK_* under the incremental scheduler@."

@@ -86,7 +86,7 @@ let tests () =
       (Staged.stage (fun () -> ignore (Drtree.Invariant.check ov)))
   in
   (* Flat state layout (DESIGN.md §11): per-height level access on a
-     mid-tree instance, the dirty-queue mark, and the intern table that
+     mid-tree instance, the write-path mark, and the intern table that
      backs the store's dense indexing. *)
   let next_id () =
     idx := (!idx + 1) land 1023;
@@ -111,7 +111,7 @@ let tests () =
   in
   let net = O.access ov in
   let t_mark =
-    Test.make ~name:"access mark (packed dirty key)"
+    Test.make ~name:"access mark (count + claimant refresh)"
       (Staged.stage (fun () ->
            Drtree.Access.mark net (next_id ()) (!idx land 7)))
   in

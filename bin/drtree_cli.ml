@@ -558,14 +558,8 @@ let fuzz_cmd =
   in
   let differential_t =
     let axis_doc (ax : Mck.Fuzz.axis) =
-      Printf.sprintf "$(b,%s) (%s: %s)" ax.name
+      Printf.sprintf "$(b,%s) (%s)" ax.name
         (String.concat " vs " (List.map fst ax.variants))
-        (match ax.standard with
-        | Mck.Fuzz.Exact ->
-            "bit-identical verdicts, final shapes and telemetry/byte counters"
-        | Mck.Fuzz.Verdict_legality ->
-            "verdicts agree, and on clean FIFO traces final size and \
-             legality too")
     in
     Arg.(
       value
@@ -577,8 +571,10 @@ let fuzz_cmd =
           ~doc:
             (Printf.sprintf
                "Run every generated or replayed trace under each variant of \
-                AXIS, overriding that field of the trace, and compare the \
-                runs: %s. A divergence is saved unshrunk as AXIS-SEED.trace."
+                AXIS, overriding that field of the trace, and demand \
+                bit-identical verdicts, final shapes and telemetry/byte \
+                counters: %s. A divergence is saved unshrunk as \
+                AXIS-SEED.trace."
                (String.concat ", " (List.map axis_doc Mck.Fuzz.axes))))
   in
   let run seed traces ops nodes mode sched drop dup max_seconds out replay_file
@@ -709,7 +705,7 @@ let fuzz_cmd =
            `S Manpage.s_description;
            `P
              "$(b,--transport), $(b,--config) and the per-knob flags \
-              ($(b,--scheduler), $(b,--detector), $(b,--forest), ...) \
+              ($(b,--layout), $(b,--detector), $(b,--forest), ...) \
               configure the generated traces; a replayed trace carries its \
               own transport and config line. $(b,--cover-sweep off) plants \
               a known protocol bug the fuzzer must find, shrink and save. \

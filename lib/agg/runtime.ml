@@ -556,17 +556,19 @@ let repair t =
      processes converge by copying queries down the repaired tree —
      the client registry seeds the roots, parents seed their children
      (descending top order makes one pass propagate a query down an
-     entire path). At one shard the seed target is the designated
-     root, verbatim the pre-forest path; under a forest every covered
-     shard's root (or the global fallback when none is rooted) — the
-     same targets [register] fans out to. *)
+     entire path). A held definition that differs from the source's is
+     replaced too, so a wrong one under a live id (a forged or
+     corrupted subscribe) heals like a missing one. At one shard the
+     seed target is the designated root, verbatim the pre-forest path;
+     under a forest every covered shard's root (or the global fallback
+     when none is rooted) — the same targets [register] fans out to. *)
   (if Access.shard_count t.net = 1 then
      match Access.designated_root t.net with
      | Some root when O.is_alive ov root ->
          let rns = node_state t root in
          Hashtbl.iter
            (fun qid q ->
-             if not (Hashtbl.mem rns.queries qid) then
+             if Hashtbl.find_opt rns.queries qid <> Some q then
                Hashtbl.replace rns.queries qid q)
            t.registry
      | Some _ | None -> ()
@@ -590,7 +592,7 @@ let repair t =
            (fun root ->
              if O.is_alive ov root then
                let rns = node_state t root in
-               if not (Hashtbl.mem rns.queries qid) then
+               if Hashtbl.find_opt rns.queries qid <> Some q then
                  Hashtbl.replace rns.queries qid q)
            roots)
        (sorted_query_ids t.registry));
@@ -616,7 +618,7 @@ let repair t =
                       let cns = node_state t c in
                       Hashtbl.iter
                         (fun qid q ->
-                          if not (Hashtbl.mem cns.queries qid) then
+                          if Hashtbl.find_opt cns.queries qid <> Some q then
                             Hashtbl.replace cns.queries qid q)
                         ns.queries
                     end)

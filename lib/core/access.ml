@@ -23,9 +23,9 @@ type net = {
       (* (asker, responder) -> responder's state as reported this
          message-passing stabilization round *)
   tele : Telemetry.t;
-  dirty : Dirty.t;
-      (* the incremental scheduler's work queue; every write path marks
-         through {!mark} below *)
+  mutable marks : int;
+      (* (process, height) marks since the last stabilization round
+         began; every write path marks through {!mark} below *)
   rdv : Rendezvous.t;
       (* the rendezvous layer (DESIGN.md §14): which tree of the
          forest a process homes on. [Single] (the default) is the
@@ -38,16 +38,13 @@ type net = {
          lookup. A process's home shard is a pure function of its
          immutable filter, so an entry never migrates between tables.
          Entries are re-verified on read; silent corruption can leave
-         the cache stale, so full-sweep rounds rescan and an empty
-         verified set falls back to a full rescan of the shard. *)
+         the cache stale, so every round rescans and an empty verified
+         set falls back to a full rescan of the shard. *)
   mutable filters : Node_id.t Rtree.Tree.t;
       (* the ground-truth filter index behind {!filter_candidates}:
          the filter of every process spawned below the [indexed]
          watermark, alive or crashed *)
   mutable indexed : int;
-  mutable scan_cursor : int;
-      (* round-robin position of the incremental scheduler's background
-         scan lane over the sorted live-id list *)
   mutable last_join_hops : int;
   mutable executor : Node_id.t option;
       (* the node whose module body is currently executing; reads of
@@ -67,8 +64,8 @@ type net = {
          dependency on the failure-detection subsystem *)
   mutable fd_round : (unit -> unit) option;
       (* the detector's periodic tick, run at the head of every
-         stabilization round so timeout verdicts mark the dirty set the
-         same round drains *)
+         stabilization round so timeout verdicts are repaired the same
+         round *)
   mutable fd_contact : (Node_id.t -> Node_id.t option) option;
       (* fallback-contact lookup: when installed, {!initiate_join}
          asks the detector's ring for a contact before falling back to
@@ -101,13 +98,12 @@ let create ?(cfg = Config.default) ?transport ?drop_rate
       rng = Sim.Rng.make (seed lxor 0x7ee1);
       snapshots = Hashtbl.create 256;
       tele = Telemetry.create ();
-      dirty = Dirty.create ();
+      marks = 0;
       rdv;
       claimants =
         Array.init (Rendezvous.shards rdv) (fun _ -> Node_id.Table.create 8);
       filters = Rtree.Tree.create Rtree.Tree.default_config;
       indexed = 0;
-      scan_cursor = 0;
       last_join_hops = 0;
       executor = None;
       agg_handler = None;
@@ -214,15 +210,14 @@ let filter_candidates net point =
   end;
   Rtree.Tree.search_point net.filters point
 
-(* {2 Dirty marking and the root-claimant cache}
+(* {2 Marking and the root-claimant cache}
 
    [mark] is THE write-path hook: every mutation of a (process,
-   height) entry flags it here so the incremental scheduler knows
-   where to repair, and — since a process's root claim is a function
-   of its own state — the same hook keeps the claimant cache current.
-   Marking is always on, whatever the configured scheduler: the cache
-   feeds the contact oracle on every join, and full-sweep runs simply
-   ignore the queue. *)
+   height) entry flags it here. The round driver only asks whether
+   anything was marked since the last round began (the quiescence
+   test of {!Overlay.stabilize}), so a mark is a count; and since a
+   process's root claim is a function of its own state, the same hook
+   keeps the claimant cache current. *)
 
 (* The shard a process homes on: a pure function of its immutable
    filter rectangle through the rendezvous mapper — probe-free (the
@@ -252,8 +247,10 @@ let refresh_claimant net id =
       Node_id.Table.replace (claimant_table net id) id ()
   | Some _ | None -> Node_id.Table.remove (claimant_table net id) id
 
+(* Negative heights arrive from call sites computing [h - 1] at a
+   leaf; they denote no instance, so they are not counted. *)
 let mark net p h =
-  Dirty.mark net.dirty p h;
+  if h >= 0 then net.marks <- net.marks + 1;
   refresh_claimant net p
 
 let rescan_claimants_in net shard =

@@ -28,12 +28,11 @@ type net = {
   rng : Sim.Rng.t;
   snapshots : (Sim.Node_id.t * Sim.Node_id.t, Message.snapshot) Hashtbl.t;
   tele : Telemetry.t;
-  dirty : Dirty.t;
+  mutable marks : int;
   rdv : Rendezvous.t;
   claimants : unit Sim.Node_id.Table.t array;
   mutable filters : Sim.Node_id.t Rtree.Tree.t;
   mutable indexed : int;
-  mutable scan_cursor : int;
   mutable last_join_hops : int;
   mutable executor : Sim.Node_id.t option;
   mutable agg_handler :
@@ -106,19 +105,20 @@ val filter_candidates : net -> Geometry.Point.t -> Sim.Node_id.t list
     range; it needs no membership hooks because filters are constant
     and the store never drops a state (DESIGN.md §4). *)
 
-(** {2 Dirty marking}
+(** {2 Marking}
 
     Every write path of the protocol flags the (process, height)
-    entries it mutates, feeding both the incremental repair scheduler
-    ({!Dirty}) and the root-claimant cache behind {!root_claimants}.
-    Marking is an optimization hint, never a soundness requirement:
-    entries the tracking misses are found by the background scan lane
-    (see DESIGN.md §10). *)
+    entries it mutates, feeding both the quiescence test of
+    {!Overlay.stabilize} ([marks]) and the root-claimant cache behind
+    {!root_claimants}. A missed mark leaves no damage unrepaired: every
+    round sweeps every entry, and an unmarked illegal tree costs
+    {!Overlay.stabilize} one legality check before it escalates
+    (DESIGN.md §10). *)
 
 val mark : net -> Sim.Node_id.t -> int -> unit
-(** Flag [(p, h)] as possibly in need of repair and refresh [p]'s
-    entry in its home shard's claimant cache. Negative heights are
-    ignored. *)
+(** Flag [(p, h)] as possibly in need of repair — add one to [marks]
+    unless [h] is negative — and refresh [p]'s entry in its home
+    shard's claimant cache. *)
 
 val refresh_claimant : net -> Sim.Node_id.t -> unit
 (** Re-derive one process's root-claimant cache entry from its state
@@ -126,8 +126,8 @@ val refresh_claimant : net -> Sim.Node_id.t -> unit
 
 val rescan_claimants : net -> unit
 (** Rebuild every shard's claimant cache from scratch over all live
-    processes — run by every full-sweep round, so cache staleness
-    never outlives one round under the paper's periodic model. *)
+    processes — run at the start of every stabilization round, so
+    cache staleness never outlives one round. *)
 
 val rescan_claimants_in : net -> int -> unit
 (** Rebuild one shard's claimant cache from scratch. *)

@@ -1,5 +1,4 @@
 type oracle = Root_oracle | Random_oracle
-type scheduler = Full_sweep | Incremental
 type layout = Hashed | Flat
 
 type detector =
@@ -20,8 +19,6 @@ type t = {
   oracle : oracle;
   cover_sweep : bool;
   publish_ttl : int;
-  scheduler : scheduler;
-  scan_fraction : float;
   seen_capacity : int;
   layout : layout;
   detector : detector;
@@ -31,8 +28,7 @@ type t = {
 let default =
   { min_fill = 2; max_fill = 4; split = Rtree.Split.Quadratic;
     oracle = Root_oracle; cover_sweep = true; publish_ttl = 128;
-    scheduler = Full_sweep; scan_fraction = 0.05; seen_capacity = 4096;
-    layout = Flat; detector = Oracle; forest = Single }
+    seen_capacity = 4096; layout = Flat; detector = Oracle; forest = Single }
 
 let validate c =
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
@@ -40,8 +36,6 @@ let validate c =
   else if c.max_fill < 2 * c.min_fill then
     err "max-fill %d < 2 * min-fill %d" c.max_fill c.min_fill
   else if c.publish_ttl < 1 then err "publish-ttl %d < 1" c.publish_ttl
-  else if not (c.scan_fraction >= 0.0 && c.scan_fraction <= 1.0) then
-    err "scan-fraction %g outside [0, 1]" c.scan_fraction
   else if c.seen_capacity < 1 then err "seen-capacity %d < 1" c.seen_capacity
   else
     match (c.detector, c.forest) with
@@ -59,14 +53,12 @@ let make ?(min_fill = default.min_fill) ?(max_fill = default.max_fill)
     ?(split = default.split) ?(oracle = default.oracle)
     ?(cover_sweep = default.cover_sweep)
     ?(publish_ttl = default.publish_ttl)
-    ?(scheduler = default.scheduler)
-    ?(scan_fraction = default.scan_fraction)
     ?(seen_capacity = default.seen_capacity)
     ?(layout = default.layout) ?(detector = default.detector) ?(forest = default.forest) () =
   match
     validate
-      { min_fill; max_fill; split; oracle; cover_sweep; publish_ttl; scheduler;
-        scan_fraction; seen_capacity; layout; detector; forest }
+      { min_fill; max_fill; split; oracle; cover_sweep; publish_ttl;
+        seen_capacity; layout; detector; forest }
   with
   | Ok c -> c
   | Error e -> invalid_arg ("Drtree.Config.make: " ^ e)
@@ -98,7 +90,6 @@ let scalar_field docv to_s of_s name doc get set =
       (fun s -> match of_s s with Some v -> Ok (set v) | None -> bad name s) }
 
 let int_field = scalar_field "INT" string_of_int int_of_string_opt
-let float_field = scalar_field "FLOAT" float_str float_of_string_opt
 
 (* [cases] lists every value with its text, so printing is total. *)
 let enum_field name doc cases get set =
@@ -189,17 +180,6 @@ let fields =
     int_field "publish-ttl" "Hop budget for forwarded traffic."
       (fun c -> c.publish_ttl)
       (fun publish_ttl c -> { c with publish_ttl });
-    enum_field "scheduler"
-      "Repair scheduler: full (every module at every height each round) or \
-       incremental (drain the dirty set plus a background scan lane)."
-      [ ("full", Full_sweep); ("incremental", Incremental) ]
-      (fun c -> c.scheduler)
-      (fun scheduler c -> { c with scheduler });
-    float_field "scan-fraction"
-      "Fraction of live processes the incremental scheduler's scan lane \
-       sweeps each round."
-      (fun c -> c.scan_fraction)
-      (fun scan_fraction c -> { c with scan_fraction });
     int_field "seen-capacity" "Per-process event-dedup window."
       (fun c -> c.seen_capacity)
       (fun seen_capacity c -> { c with seen_capacity });

@@ -11,18 +11,6 @@ type oracle =
   | Random_oracle  (** a uniformly random live node; the join is then
                       redirected upward to the root as per §3.2 *)
 
-(** How the stabilization round drivers schedule the CHECK_* modules
-    (DESIGN.md §10). *)
-type scheduler =
-  | Full_sweep
-      (** the paper's periodic model: every live process runs every
-          module at every active height, each round *)
-  | Incremental
-      (** dirty-set scheduling: rounds drain the (process, height)
-          entries the protocol's write paths marked, plus a
-          [scan_fraction] background lane that preserves the
-          self-stabilization guarantee against silent corruption *)
-
 (** How {!State} and {!Access} store the per-(process, height) variables
     (DESIGN.md §11). The two layouts are observationally identical — the
     layout-differential harness in [lib/mck] proves equal verdicts,
@@ -45,7 +33,7 @@ type layout =
 type detector =
   | Oracle
       (** the seed model: [Overlay.crash]/[leave] mark the departed
-          process's neighborhood dirty from the outside, as if a global
+          process's neighborhood from the outside, as if a global
           observer announced every departure. Bit-identical to the
           pre-detector behavior — no detector message is ever sent. *)
   | Heartbeat of { period : float; timeout_factor : int; fallbacks : int }
@@ -55,8 +43,8 @@ type detector =
           (chord-style fallback contacts), suspects a monitored peer
           after [timeout_factor] silent periods (challenging it with a
           [Suspect] message), and on a confirmed timeout initiates the
-          departure locally — feeding the same [Access.mark] dirty-set
-          path the oracle used, with no global knowledge involved. *)
+          departure locally — feeding the same [Access.mark] path the
+          oracle used, with no global knowledge involved. *)
 
 val default_heartbeat : detector
 (** [Heartbeat {period = 1.0; timeout_factor = 3; fallbacks = 2}]. *)
@@ -96,13 +84,6 @@ type t = {
           reached in legal states, where hop counts are bounded by the
           tree height, so the default (128) is far above any
           realistic height and does not affect correct executions. *)
-  scheduler : scheduler;
-  scan_fraction : float;
-      (** Under [Incremental]: the fraction of live processes each
-          round additionally sweeps in full (round-robin over the id
-          space, at least one per round). Bounds the repair latency of
-          corruption the dirty tracking cannot see to roughly
-          [1 / scan_fraction] rounds. Ignored under [Full_sweep]. *)
   seen_capacity : int;
       (** Capacity of the per-process event-dedup window
           ({!State.mark_seen}): the oldest entries are evicted beyond
@@ -125,18 +106,17 @@ type t = {
 
 val default : t
 (** [m = 2], [M = 4], quadratic split, root oracle, cover sweep on,
-    [publish_ttl = 128], full-sweep scheduler, [scan_fraction = 0.05],
-    [seen_capacity = 4096], flat layout, oracle detector, single
-    forest. *)
+    [publish_ttl = 128], [seen_capacity = 4096], flat layout, oracle
+    detector, single forest. *)
 
 val validate : t -> (t, string) result
 (** [Ok c] if [c] is a legal configuration, else [Error] naming the
     first violated bound: [min_fill < 2], [max_fill < 2 * min_fill]
     ([m >= 2] keeps interior nodes binary or wider, matching the R-tree
-    root rule), [publish_ttl < 1], [scan_fraction] outside [0, 1],
-    [seen_capacity < 1], a [Heartbeat] detector with [period <= 0],
-    [timeout_factor < 1] or [fallbacks < 0], or a [Sharded] forest with
-    [shards] outside [1 .. max_shards]. *)
+    root rule), [publish_ttl < 1], [seen_capacity < 1], a [Heartbeat]
+    detector with [period <= 0], [timeout_factor < 1] or
+    [fallbacks < 0], or a [Sharded] forest with [shards] outside
+    [1 .. max_shards]. *)
 
 val make :
   ?min_fill:int ->
@@ -145,8 +125,6 @@ val make :
   ?oracle:oracle ->
   ?cover_sweep:bool ->
   ?publish_ttl:int ->
-  ?scheduler:scheduler ->
-  ?scan_fraction:float ->
   ?seen_capacity:int ->
   ?layout:layout ->
   ?detector:detector ->

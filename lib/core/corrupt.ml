@@ -22,10 +22,9 @@ let with_state ov victim f =
    but the paper's transient-fault model (§3.3) lets the detection
    side observe the damaged variables: with [mark] (the default) each
    primitive flags the mutated instance — and the neighbors whose
-   CHECK_* guards can see the inconsistency — on the dirty set, the
-   way any in-protocol write path would. [~mark:false] models truly
-   silent corruption: nothing is flagged, and only the background scan
-   lane of the incremental scheduler can find it. *)
+   CHECK_* guards can see the inconsistency — the way any in-protocol
+   write path would. [~mark:false] models truly silent corruption:
+   nothing is flagged, and only a round's sweep can find it. *)
 
 let parent ?(mark = true) ov rng victim =
   with_state ov victim (fun s ->

@@ -10,11 +10,12 @@
 
     By default every primitive also marks the damaged (process,
     height) entries — the victim's instance plus the neighbors whose
-    CHECK_* guards observe the inconsistency — on the dirty set, so
-    the incremental scheduler repairs them as fast as the full sweep.
-    Pass [~mark:false] for {e silent} corruption: nothing is flagged
-    and only the background scan lane can find it (the
-    self-stabilization guarantee the scan lane exists to keep). *)
+    CHECK_* guards observe the inconsistency — through
+    [Overlay.mark_dirty], as any in-protocol write would, so
+    [Overlay.stabilize] keeps running rounds. Pass [~mark:false] for
+    {e silent} corruption: nothing is marked, the next round's sweep
+    still repairs it, and [Overlay.stabilize] finds it on a quiescent
+    tree with one legality check. *)
 
 val parent : ?mark:bool -> Overlay.t -> Sim.Rng.t -> Sim.Node_id.t -> bool
 (** Set the parent pointer of a random active instance of the victim

@@ -210,8 +210,8 @@ let check ov =
         check_level ~m ~big_m ~read ~add ~pid ~home p s h
       done);
   (* Reachability: every live process reachable from its {e own}
-     shard's root (skipped for a shard whose root is not unique — the
-     claimant violations above already cover it). *)
+     shard's root (not checked for a shard whose root is not unique —
+     the claimant violations above already cover it). *)
   let reached = ref Node_id.Set.empty in
   (* Termination: [h] strictly decreases on every recursive call. *)
   let rec visit id h =
@@ -257,8 +257,6 @@ let check_at ov p h =
       check_level ~m ~big_m ~read ~add ~pid ~home p s h
   | Some _ | None -> ());
   List.rev !violations
-
-let is_legal_at ov p h = check_at ov p h = []
 
 let height = Overlay.height
 

@@ -44,12 +44,7 @@ val check_at : Overlay.t -> Sim.Node_id.t -> int -> violation list
 (** The Definition-3.1 clauses of one (process, height) instance only
     — the unit {!check} sweeps over all of, minus the global facts
     (root uniqueness, reachability from the root) that no single
-    instance owns. [[]] when the process is dead or inactive at [h].
-    The incremental scheduler's tests use this to check exactly the
-    entries a repair plan claims to have fixed. *)
-
-val is_legal_at : Overlay.t -> Sim.Node_id.t -> int -> bool
-(** [check_at] is empty. *)
+    instance owns. [[]] when the process is dead or inactive at [h]. *)
 
 val height : Overlay.t -> int
 (** Height of the DR-tree, from the root instance ([0] = single

@@ -6,8 +6,7 @@ module Engine = Sim.Engine
    modules over views), {!Membership} (join/leave), {!Dissemination}
    (publish + reorganization), {!Election} (root role management) and
    {!Telemetry} (the metric bus). This module owns the message
-   dispatcher, the repair scheduler (full-sweep or dirty-set
-   incremental, DESIGN.md §10) and the stabilization round drivers;
+   dispatcher and the stabilization round drivers (DESIGN.md §10);
    everything else delegates. *)
 
 type t = Access.net
@@ -32,10 +31,9 @@ let new_event_id (ov : t) = Telemetry.fresh_event_id ov.Access.tele
 let last_join_hops (ov : t) = ov.Access.last_join_hops
 let run (ov : t) = ignore (Engine.run ov.Access.engine)
 
-(* Dirty-set introspection (tests, the model checker, the CLI). *)
+(* Mark introspection (tests, fault injection, the benchmark). *)
 let mark_dirty (ov : t) id h = Access.mark ov id h
-let dirty_size (ov : t) = Dirty.cardinal ov.Access.dirty
-let is_dirty (ov : t) id h = Dirty.mem ov.Access.dirty id h
+let dirty_size (ov : t) = ov.Access.marks
 
 let log_src = Logs.Src.create "drtree" ~doc:"DR-tree overlay protocol"
 
@@ -132,8 +130,8 @@ let join ov filter =
    hole it leaves is detected by its neighbors' guards. Flag the
    external parent of every instance (its children set keeps a dead
    member) and the members of every interior instance (their parent
-   pointer dangles) — the failure-detector side of the dirty tracking
-   (DESIGN.md §10). *)
+   pointer dangles) — the failure-detector side of the write-path
+   marking (DESIGN.md §10). *)
 let mark_departure (ov : t) id =
   match Access.state ov id with
   | None -> ()
@@ -155,9 +153,9 @@ let mark_departure (ov : t) id =
    crashes, and the failure detector's confirmed-dead verdicts — ends
    here, so detector-driven departures are literally the oracle's code
    path minus the external marking. [mark = false] models a silent
-   crash: nobody is told, the dirty set stays untouched, and only
-   detection (lib/fd under Heartbeat, or the background scan lane) can
-   surface the hole. *)
+   crash: nobody is told and nothing is marked, so the hole surfaces
+   only through detection (lib/fd under Heartbeat) or the next round's
+   sweep. *)
 let depart ?(mark = true) (ov : t) id =
   if mark then mark_departure ov id;
   Engine.kill ov.Access.engine id;
@@ -192,7 +190,7 @@ type publish_report = Dissemination.report = {
 let publish (ov : t) ~from point =
   Dissemination.publish ov ~run:(fun () -> run ov) ~from point
 
-(* --- Repair scheduling (DESIGN.md §10) ----------------------------------- *)
+(* --- Stabilization rounds (DESIGN.md §10) --------------------------------- *)
 
 let each (ov : t) f =
   List.iter
@@ -202,192 +200,78 @@ let each (ov : t) f =
       | None -> ())
     (alive_ids ov)
 
-let each_entries (ov : t) entries f =
-  List.iter
-    (fun (id, hs) ->
-      match Access.read ov id with
-      | Some s -> Access.as_executor ov id (fun () -> f s hs)
-      | None -> ())
-    entries
-
-(* What one round will repair: everything (the paper's periodic
-   model), or the drained dirty entries grouped per process. *)
-type plan = Full | Entries of (Node_id.t * int list) list
-
-(* Full rounds re-derive the claimant cache from scratch and may
-   discard the dirty set — they repair everything regardless, so cache
-   or queue staleness never outlives one round. Incremental rounds
-   drain the queue and append the background scan lane:
-   ceil(scan_fraction * N) live processes in round-robin id order
-   (at least one), swept at every height. Lane entries go straight
-   into the plan, not through {!Dirty}, so they are handled this
-   round. *)
-let round_plan (ov : t) =
-  let queue_depth = Dirty.cardinal ov.Access.dirty in
-  match ov.Access.cfg.Config.scheduler with
-  | Config.Full_sweep ->
-      Access.rescan_claimants ov;
-      Dirty.clear ov.Access.dirty;
-      (Full, queue_depth)
-  | Config.Incremental ->
-      let tbl = Hashtbl.create 64 in
-      let add id h =
-        let hs = try Hashtbl.find tbl id with Not_found -> [] in
-        if not (List.mem h hs) then Hashtbl.replace tbl id (h :: hs)
-      in
-      List.iter (fun (id, h) -> add id h) (Dirty.drain ov.Access.dirty);
-      let ids = Array.of_list (alive_ids ov) in
-      let n = Array.length ids in
-      if n > 0 then begin
-        let lane =
-          min n
-            (max 1
-               (int_of_float
-                  (ceil
-                     (ov.Access.cfg.Config.scan_fraction *. float_of_int n))))
-        in
-        for k = 0 to lane - 1 do
-          let id = ids.((ov.Access.scan_cursor + k) mod n) in
-          match Access.state ov id with
-          | Some s ->
-              for h = 0 to State.top s do
-                add id h
-              done
-          | None -> ()
-        done;
-        ov.Access.scan_cursor <- (ov.Access.scan_cursor + lane) mod n
-      end;
-      let grouped =
-        Hashtbl.fold
-          (fun id hs acc -> (id, List.sort compare hs) :: acc)
-          tbl []
-        |> List.sort (fun (a, _) (b, _) -> compare a b)
-      in
-      (Entries grouped, queue_depth)
-
-(* The number of module invocations one full-sweep round would make
-   over the current population — the baseline the [skipped] gauge is
-   measured against (heights at round start; repairs may shift tops
-   mid-round, which only perturbs the gauge, never the schedule). *)
-let full_equivalent (ov : t) =
-  let total = ref 0 in
-  iter_states ov (fun _ s ->
-      let top = State.top s in
-      (* mbr 0..top, children 1..top, parent 0..top, cover 1..top,
-         structure 2..top *)
-      total := !total + (top + 1) + top + (top + 1) + top + max 0 (top - 1));
-  !total
-
-(* One stabilization round, either mode. Shared-state rounds run the
-   module bodies as atomic actions over live neighbor state (reads
-   counted as probes); message-passing rounds first QUERY every
-   neighbor of every process in the plan and then run the same four
-   local bodies over the received REPORTs only. Multi-party
+(* One stabilization round, either mode: the paper's periodic model,
+   every module at every active height of every live process.
+   Shared-state rounds run the module bodies as atomic actions over
+   live neighbor state (reads counted as probes); message-passing
+   rounds first QUERY every neighbor of every process and then run the
+   same four local bodies over the received REPORTs only. Multi-party
    transactions (cover exchange, compaction, root handover) remain
    atomic locked exchanges in both modes. *)
 let round_body (ov : t) ~mode =
-  (* The failure detector's tick runs first, so timeout verdicts mark
-     the dirty set this round's plan drains — detection-to-repair
-     latency is one round, not two. Inert under the oracle detector. *)
+  (* The failure detector's tick runs first, so timeout verdicts are
+     repaired this round — detection-to-repair latency is one round,
+     not two. Inert under the oracle detector. *)
   (match ov.Access.fd_round with Some f -> f () | None -> ());
-  let plan, queue_depth = round_plan ov in
+  (* The claimant cache is re-derived from scratch, so its staleness
+     never outlives one round, and the mark count restarts: what this
+     round writes is what {!stabilize} asks about. *)
+  Access.rescan_claimants ov;
+  ov.Access.marks <- 0;
   let tele = ov.Access.tele in
-  let full_equiv =
-    match plan with Full -> 0 | Entries _ -> full_equivalent ov
-  in
   Telemetry.begin_round tele
     ~messages:(Engine.messages_sent ov.Access.engine)
-    ~bytes:(Engine.bytes_sent ov.Access.engine)
-    ~queue_depth;
-  let execs0 = Telemetry.execs tele in
+    ~bytes:(Engine.bytes_sent ov.Access.engine);
   (match mode with `Mp -> Access.reset_snapshots ov | `Shared -> ());
   Election.reconcile_roots ov;
   run ov;
   (match mode with
   | `Shared -> ()
   | `Mp ->
-      (* Phase 1: every process in the plan queries each of its
-         neighbors once. *)
-      let query id =
-        match state ov id with
-        | Some s when is_alive ov id ->
-            Node_id.Set.iter
-              (fun nb ->
-                Engine.inject ov.Access.engine ~dst:nb
-                  (Message.Query { asker = id }))
-              (Access.neighbors_of s)
-        | Some _ | None -> ()
-      in
-      (match plan with
-      | Full -> List.iter query (alive_ids ov)
-      | Entries es -> List.iter (fun (id, _) -> query id) es);
+      (* Phase 1: every live process queries each of its neighbors
+         once. *)
+      List.iter
+        (fun id ->
+          match state ov id with
+          | Some s when is_alive ov id ->
+              Node_id.Set.iter
+                (fun nb ->
+                  Engine.inject ov.Access.engine ~dst:nb
+                    (Message.Query { asker = id }))
+                (Access.neighbors_of s)
+          | Some _ | None -> ())
+        (alive_ids ov);
       run ov);
   let view s =
     match mode with
     | `Shared -> Access.direct ov s
     | `Mp -> Access.snapshot ov s
   in
-  let exec f =
-    Telemetry.record_exec tele;
-    f ()
+  (* One module over every live process, at heights [floor..top]. *)
+  let pass ~floor check =
+    each ov (fun s ->
+        let check = check s in
+        for h = floor to State.top s do
+          Telemetry.record_exec tele;
+          check h
+        done)
   in
-  (* Phase 2: the four local modules over views, in the same
-     module/process/height order under both plans — a clean entry is a
-     no-op, so an incremental round performs exactly the repairs the
-     full round would for the marks present at round start. Entries
-     marked mid-round wait for the next round, where a full sweep's
-     later passes would catch them this round — interacting repair
-     cascades can therefore settle on different, equally legal
-     fixpoints; see DESIGN.md §10. *)
-  let local_pass ~floor check =
-    match plan with
-    | Full ->
-        each ov (fun s ->
-            let v = view s in
-            for h = floor to State.top s do
-              exec (fun () -> check v h)
-            done)
-    | Entries es ->
-        each_entries ov es (fun s hs ->
-            let v = view s in
-            List.iter
-              (fun h ->
-                if h >= floor && h <= State.top s then
-                  exec (fun () -> check v h))
-              hs)
-  in
-  local_pass ~floor:0 Repair.check_mbr;
-  local_pass ~floor:1 Repair.check_children;
-  local_pass ~floor:0 Repair.check_parent;
+  (* Phase 2: the four local modules over views. *)
+  pass ~floor:0 (fun s -> Repair.check_mbr (view s));
+  pass ~floor:1 (fun s -> Repair.check_children (view s));
+  pass ~floor:0 (fun s -> Repair.check_parent (view s));
   run ov;
-  local_pass ~floor:1 Repair.check_cover;
+  pass ~floor:1 (fun s -> Repair.check_cover (view s));
   (* Phase 3: multi-party transactions (atomic locked exchanges). *)
-  (match plan with
-  | Full ->
-      each ov (fun s ->
-          for h = 2 to State.top s do
-            exec (fun () -> Repair.check_structure ov s h)
-          done)
-  | Entries es ->
-      each_entries ov es (fun s hs ->
-          List.iter
-            (fun h ->
-              if h >= 2 && h <= State.top s then
-                exec (fun () -> Repair.check_structure ov s h))
-            hs));
+  pass ~floor:2 (Repair.check_structure ov);
   Election.shrink_root ov;
   (* Agg_repair, co-scheduled with the CHECK_* modules: reconcile the
      aggregation subsystem's soft state with the repaired tree. *)
   (match ov.Access.agg_repair with Some f -> f () | None -> ());
   run ov;
-  let execs = Telemetry.execs tele - execs0 in
-  let skipped =
-    match plan with Full -> 0 | Entries _ -> max 0 (full_equiv - execs)
-  in
   Telemetry.end_round tele
     ~messages:(Engine.messages_sent ov.Access.engine)
     ~bytes:(Engine.bytes_sent ov.Access.engine)
-    ~skipped
 
 let stabilize_round (ov : t) = round_body ov ~mode:`Shared
 let stabilize_round_mp (ov : t) = round_body ov ~mode:`Mp
@@ -398,17 +282,17 @@ let mark_all (ov : t) =
         Access.mark ov id h
       done)
 
-(* Quiescence-driven convergence, both schedulers: while the dirty set
-   is non-empty there is pending repair work, so spin rounds without
-   paying for a global legality scan. Once quiescent, one full
-   {!Invariant} check confirms (or refutes) convergence. Quiescent but
-   illegal means silent corruption the write-path tracking never saw —
-   escalate by marking everything, which makes the next round
-   full-sweep-equivalent and keeps the periodic model's round budget
-   (Lemmas 3.3–3.6) valid for the incremental scheduler too. *)
+(* Quiescence-driven convergence: a round that marked anything wrote
+   something, and a write may leave work for the next round, so spin
+   rounds without paying for a global legality scan. Once a round
+   writes nothing, one full {!Invariant} check confirms (or refutes)
+   convergence. Quiescent but illegal means damage no write path
+   marked (silent corruption, an unannounced crash): escalate by
+   marking everything — which also refreshes every claimant before
+   the next round's detector tick — and run another round. *)
 let stabilize_gen ~round ?(max_rounds = 50) ~legal ov =
   let rec loop rounds =
-    if Dirty.is_empty (access ov).Access.dirty then
+    if ov.Access.marks = 0 then
       if legal ov then Some rounds
       else if rounds >= max_rounds then None
       else begin

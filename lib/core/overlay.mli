@@ -67,16 +67,17 @@ val leave_reconnect : t -> Sim.Node_id.t -> unit
 val crash : t -> Sim.Node_id.t -> unit
 (** Uncontrolled departure: the process dies silently. No messages.
     Stabilization must detect and repair. The neighborhood is still
-    marked dirty from the outside (the paper's known-crash
-    assumption, [Config.detector = Oracle]). *)
+    marked from the outside (the paper's known-crash assumption,
+    [Config.detector = Oracle]). *)
 
 val crash_silent : t -> Sim.Node_id.t -> unit
-(** {!crash} without the oracle's dirty marks: nobody is told. Under
+(** {!crash} without the oracle's marks: nobody is told. Under
     [Config.detector = Heartbeat] the failure detector must notice
     the silence and initiate the departure itself; under the oracle
-    model only the incremental scheduler's background scan lane (or a
-    full sweep) finds the hole. This is the crash the fuzz harness
-    injects in heartbeat mode (DESIGN.md §13). *)
+    model the next round's sweep finds the hole, and {!stabilize}
+    pays one legality check to learn that a quiescent tree is
+    illegal. This is the crash the fuzz harness injects in heartbeat
+    mode (DESIGN.md §13). *)
 
 (** {2 State access (read-only views; for checkers, metrics, fault
     injection)} *)
@@ -150,28 +151,24 @@ val publish : t -> from:Sim.Node_id.t -> Geometry.Point.t -> publish_report
 
 (** {2 Stabilization}
 
-    Rounds are scheduled by [Config.scheduler] (DESIGN.md §10).
-    [Full_sweep] (the paper's periodic model) runs every module at
-    every active height of every live process. [Incremental] drains
-    only the dirty (process, height) entries the protocol's write
-    paths marked, plus a [scan_fraction] background lane — same
-    module/process/height order, so with complete marks a round
-    performs exactly the repairs a full sweep would. *)
+    Every round is the paper's periodic model (DESIGN.md §10): every
+    module runs at every active height of every live process. *)
 
 val stabilize_round : t -> unit
-(** One round: the scheduled (process, height) entries trigger
-    CHECK_MBR (bottom-up), CHECK_CHILDREN, CHECK_PARENT, CHECK_COVER
-    and CHECK_STRUCTURE, in deterministic id order, then the engine
+(** One round: every live process runs CHECK_MBR (bottom-up),
+    CHECK_CHILDREN, CHECK_PARENT, CHECK_COVER and CHECK_STRUCTURE at
+    each of its heights, in deterministic id order, then the engine
     drains (re-joins triggered by repairs complete). *)
 
 val stabilize : ?max_rounds:int -> legal:(t -> bool) -> t -> int option
 (** [stabilize ~legal ov] runs {!stabilize_round} until quiescence —
-    an empty dirty set, confirmed by one [legal ov] check (pass
-    [Invariant.is_legal]) — so converged runs pay one global scan
-    instead of one per round. A quiescent-but-illegal state (silent
-    corruption) escalates to a full-sweep-equivalent round. Returns
-    the number of rounds taken ([Some 0] when already quiescent and
-    legal), or [None] if [max_rounds] (default 50) was not enough. *)
+    a round that marked nothing, confirmed by one [legal ov] check
+    (pass [Invariant.is_legal]) — so converged runs pay one global
+    scan instead of one per round. A quiescent-but-illegal state
+    (silent corruption) marks every entry and runs another round.
+    Returns the number of rounds taken ([Some 0] when nothing was
+    marked since the last round and the state is legal), or [None] if
+    [max_rounds] (default 50) was not enough. *)
 
 val stabilize_round_mp : t -> unit
 (** The message-passing variant of {!stabilize_round}: each node
@@ -212,18 +209,16 @@ val access : t -> Access.net
 (** The underlying state-access layer — for white-box tests that
     drive {!Repair} helpers directly. *)
 
-(** {2 Dirty set (repair scheduler)} *)
+(** {2 Write-path marks} *)
 
 val mark_dirty : t -> Sim.Node_id.t -> int -> unit
-(** Flag one (process, height) entry for the incremental scheduler
-    (and refresh the process's root-claimant cache entry) — what every
-    in-protocol write path does; exposed for fault injection and
-    tests. *)
+(** Mark one (process, height) entry as written (and refresh the
+    process's root-claimant cache entry) — what every in-protocol
+    write path does; exposed for fault injection and tests. *)
 
 val dirty_size : t -> int
-(** Current dirty-set population (0 at quiescence). *)
-
-val is_dirty : t -> Sim.Node_id.t -> int -> bool
+(** Marks made since the last stabilization round began (0 at
+    quiescence). *)
 
 val enable_logging : t -> unit
 (** Install an engine tracer that reports every message delivery on
@@ -269,8 +264,8 @@ val set_agg_repair : t -> (unit -> unit) option -> unit
     Same pattern for the failure-detection subsystem ([lib/fd],
     DESIGN.md §13): [Fd.Runtime.attach] installs a handler for the
     [Heartbeat]/[Suspect] dispatches, a per-round tick the round
-    drivers call {e before} planning (so timeout verdicts mark the
-    dirty set the same round drains), and a fallback-contact lookup
+    drivers call {e first} (so timeout verdicts are repaired the same
+    round), and a fallback-contact lookup
     {!Access.initiate_join} consults before the global oracle. All
     [None] under [Config.detector = Oracle] — the bit-identical
     default. *)

@@ -31,7 +31,7 @@ let mark_up net sp h =
 
 (* Compute_MBR: the instance MBR is the union of the children MBRs
    (leaf instances carry their filter). Unreadable children are
-   skipped; CHECK_CHILDREN evicts them. *)
+   left out; CHECK_CHILDREN evicts them. *)
 let compute_mbr_v v h =
   let sp = Access.self v in
   let l = State.level_exn sp h in

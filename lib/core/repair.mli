@@ -22,7 +22,7 @@ val mark_up : Access.net -> State.t -> int -> unit
 val compute_mbr_v : Access.t -> int -> unit
 (** Compute_MBR (Fig. 7) through a view: the instance MBR is the
     union of the children MBRs as observed; unreadable children are
-    skipped (CHECK_CHILDREN evicts them). *)
+    left out (CHECK_CHILDREN evicts them). *)
 
 val compute_mbr : Access.net -> State.t -> int -> unit
 (** {!compute_mbr_v} over a direct view. *)

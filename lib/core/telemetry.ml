@@ -28,9 +28,7 @@ type round_report = {
   messages : int;
   bytes : int;
   repairs : int array;
-  queue_depth : int;
   execs : int;
-  skipped : int;
 }
 
 type traffic = {
@@ -64,12 +62,10 @@ type t = {
   mutable probes : int;
   repairs : int array;
   mutable execs : int;
-      (* CHECK_* module invocations actually executed by the round
-         drivers — under the incremental scheduler the gap to the
-         full-sweep-equivalent count is the per-round [skipped] gauge *)
+      (* CHECK_* module invocations executed by the round drivers *)
   mutable rounds : round_report list; (* newest first *)
   mutable round_count : int;
-  mutable round_mark : (int * int * int * int array * int * int) option;
+  mutable round_mark : (int * int * int * int array * int) option;
   traffic : int array;
       (* wire traffic, fed by the engine's meter hook: four counters
          per message kind, at [4 * Message.kind_code] *)
@@ -179,19 +175,18 @@ let reset_traffic t = Array.fill t.traffic 0 (Array.length t.traffic) 0
 
 (* {2 Round reports} *)
 
-let begin_round t ~messages ~bytes ~queue_depth =
-  t.round_mark <-
-    Some (t.probes, messages, bytes, Array.copy t.repairs, t.execs, queue_depth)
+let begin_round t ~messages ~bytes =
+  t.round_mark <- Some (t.probes, messages, bytes, Array.copy t.repairs, t.execs)
 
-let end_round t ~messages ~bytes ~skipped =
+let end_round t ~messages ~bytes =
   match t.round_mark with
   | None -> ()
-  | Some (p0, m0, b0, r0, e0, queue_depth) ->
+  | Some (p0, m0, b0, r0, e0) ->
       let repairs = Array.mapi (fun i r -> r - r0.(i)) t.repairs in
       let report =
         { round = t.round_count; probes = t.probes - p0;
           messages = messages - m0; bytes = bytes - b0; repairs;
-          queue_depth; execs = t.execs - e0; skipped }
+          execs = t.execs - e0 }
       in
       t.rounds <- report :: t.rounds;
       t.round_count <- t.round_count + 1;
@@ -333,14 +328,10 @@ let pp_round ppf (r : round_report) =
         else None)
       repair_kinds
   in
-  Format.fprintf ppf "round %d: probes=%d messages=%d%s execs=%d%s repairs=[%s]"
+  Format.fprintf ppf "round %d: probes=%d messages=%d%s execs=%d repairs=[%s]"
     r.round r.probes r.messages
     (if r.bytes > 0 then Printf.sprintf " bytes=%d" r.bytes else "")
-    r.execs
-    (if r.skipped > 0 then
-       Printf.sprintf " skipped=%d queue=%d" r.skipped r.queue_depth
-     else "")
-    (String.concat " " nonzero)
+    r.execs (String.concat " " nonzero)
 
 let pp_agg_epoch ppf (r : agg_epoch_report) =
   Format.fprintf ppf "epoch %d: sent=%d suppressed=%d stale=%d" r.epoch

@@ -85,13 +85,7 @@ type round_report = {
   bytes : int;
       (** frame bytes sent during this round ([0] under [Inproc]) *)
   repairs : int array;  (** per-kind counts; index with {!round_repairs} *)
-  queue_depth : int;
-      (** dirty-set population at the start of the round (0 under the
-          full-sweep scheduler) *)
   execs : int;  (** CHECK_* module invocations executed this round *)
-  skipped : int;
-      (** module invocations a full sweep would have made but the
-          incremental scheduler did not (0 under full sweep) *)
 }
 
 val record_exec : t -> unit
@@ -100,12 +94,11 @@ val record_exec : t -> unit
 
 val execs : t -> int
 
-val begin_round : t -> messages:int -> bytes:int -> queue_depth:int -> unit
+val begin_round : t -> messages:int -> bytes:int -> unit
 (** Mark the start of a stabilization round; [messages] and [bytes]
-    are the engine's cumulative sent counters at that moment,
-    [queue_depth] the dirty-set population being drained. *)
+    are the engine's cumulative sent counters at that moment. *)
 
-val end_round : t -> messages:int -> bytes:int -> skipped:int -> unit
+val end_round : t -> messages:int -> bytes:int -> unit
 (** Close the round opened by {!begin_round} and append a
     {!round_report} with the deltas. A call without a matching
     [begin_round] is ignored. *)

@@ -18,9 +18,8 @@ module Node_id = Sim.Node_id
    challenged with a SUSPECT message; one further silent period
    confirms it dead, and the monitor initiates the departure {e
    locally}: it evicts the peer from its own children sets and marks
-   the dirty entries the oracle's [mark_departure] would have marked,
-   so CHECK_* and the incremental scheduler heal the tree with no
-   global knowledge involved. Ground-truth liveness is consulted only
+   the entries the oracle's [mark_departure] would have marked, so the
+   CHECK_* modules heal the tree with no global knowledge involved. Ground-truth liveness is consulted only
    to {e classify} verdicts for telemetry (false suspicions, false
    kills), never to make them. *)
 
@@ -253,7 +252,7 @@ let step_pair t mon p sp q ~now =
 
 (* The per-round tick, installed as the overlay's [fd_round] hook: it
    runs at the head of every stabilization round, so timeout verdicts
-   mark the dirty set the same round drains. At most one wave per
+   are repaired the same round. At most one wave per
    [period] of simulated time — rounds that arrive early (the clock
    has not reached [next_wave] yet) are free. *)
 let tick t =

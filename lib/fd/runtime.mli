@@ -1,8 +1,8 @@
 (** Heartbeat/timeout failure detection (DESIGN.md §13).
 
     The paper assumes crashed processes are {e known}: every
-    departure, controlled or not, marks the neighborhood dirty from
-    the outside ([Config.detector = Oracle]). This runtime removes the
+    departure, controlled or not, marks the neighborhood from the
+    outside ([Config.detector = Oracle]). This runtime removes the
     assumption. Each process sends a [Heartbeat] to its monitored
     peers — tree neighbors (parent and children over all heights) plus
     a ring of [fallbacks] successors and predecessors in id order over
@@ -14,9 +14,9 @@
       and re-checks its own attachment);
     - one further silent period → {e confirmed dead}: the monitor
       initiates the departure locally, evicting the peer from its own
-      children sets and marking every dirty entry the oracle would
-      have marked, so the CHECK_* modules and the incremental
-      scheduler heal the tree without global knowledge.
+      children sets and marking every entry the oracle would have
+      marked, so the CHECK_* modules heal the tree without global
+      knowledge.
 
     Rejoins after a false conviction route through the fallback ring
     ({!Access.initiate_join} consults the installed contact lookup

@@ -57,7 +57,7 @@ let pp_summary ppf s =
     s.final_legal
 
 (* Counter fingerprint of a run: every telemetry and engine counter
-   that could observe a difference between two realizations. [Exact]
+   that could observe a difference between two realizations. The
    differentials compare these on every trace — their variants share
    every RNG draw and every iteration-order-sensitive path sorts
    before use, so any divergence at all is a bug, never schedule
@@ -435,37 +435,30 @@ let run_trace ?probes tr =
 (* {2 Differential axes}
 
    One harness runs a trace under every variant of an axis and
-   compares each run with the first variant's, the reference, under
-   the axis's standard (see fuzz.mli). *)
+   compares each run with the first variant's, the reference: verdict,
+   final shape and fingerprint must be identical (see fuzz.mli). *)
 
-type standard = Exact | Verdict_legality
-
-type axis = {
-  name : string;
-  variants : (string * (Trace.t -> Trace.t)) list;
-  standard : standard;
-}
+type axis = { name : string; variants : (string * (Trace.t -> Trace.t)) list }
 
 (* An axis over the knob-table row [name]: each variant is one of the
    row's value strings, set on the trace's config. *)
-let axis name standard values =
+let axis name values =
   let row = List.find (fun f -> f.Drtree.Config.name = name) Drtree.Config.fields in
   let variant v =
     match row.parse v with
     | Ok set -> (v, fun tr -> { tr with Trace.config = set tr.Trace.config })
     | Error e -> invalid_arg ("Fuzz.axis: " ^ e)
   in
-  { name; variants = List.map variant values; standard }
+  { name; variants = List.map variant values }
 
 let axes =
   [
-    axis "scheduler" Verdict_legality [ "full"; "incremental" ];
-    axis "layout" Exact [ "hashed"; "flat" ];
+    axis "layout" [ "hashed"; "flat" ];
     (* A one-shard forest runs the whole rendezvous machinery (grid,
        per-shard claimant caches, shard-scoped guards, cross-shard
        fan-out loops) yet must reduce to the single tree exactly
        (DESIGN.md §14). *)
-    axis "forest" Exact [ "single"; "sharded:1" ];
+    axis "forest" [ "single"; "sharded:1" ];
   ]
 
 let pp_verdict ppf = function
@@ -477,10 +470,6 @@ let differential ?probes axis (tr : Trace.t) =
   | [] -> invalid_arg "Fuzz.differential: an axis needs at least one variant"
   | (ref_name, ref_variant) :: others ->
       let o0, s0, f0 = run_trace_full ?probes (ref_variant tr) in
-      let strict =
-        tr.Trace.drop = 0.0 && tr.Trace.dup = 0.0
-        && tr.Trace.sched = Schedule.Fifo
-      in
       let check (name, variant) =
         let o, s, f = run_trace_full ?probes (variant tr) in
         let differ what pp a b =
@@ -488,21 +477,10 @@ let differential ?probes axis (tr : Trace.t) =
             (Format.asprintf "%s %s differ:@ %s=%a@ %s=%a" axis.name what
                ref_name pp a name pp b)
         in
-        match axis.standard with
-        | Exact ->
-            if o0 <> o then differ "verdicts" pp_verdict o0 o
-            else if s0 <> s then differ "shapes" pp_summary s0 s
-            else if f0 <> f then differ "fingerprints" pp_fingerprint f0 f
-            else Ok ()
-        | Verdict_legality ->
-            if (o0 = Passed) <> (o = Passed) then
-              differ "verdicts" pp_verdict o0 o
-            else if
-              strict
-              && (s0.final_size <> s.final_size
-                 || s0.final_legal <> s.final_legal)
-            then differ "sizes/legality (strict schedule)" pp_summary s0 s
-            else Ok ()
+        if o0 <> o then differ "verdicts" pp_verdict o0 o
+        else if s0 <> s then differ "shapes" pp_summary s0 s
+        else if f0 <> f then differ "fingerprints" pp_fingerprint f0 f
+        else Ok ()
       in
       List.fold_left
         (fun acc v -> Result.bind acc (fun () -> check v))

@@ -95,45 +95,29 @@ val run_trace_full :
 
     A differential runs one trace under every variant of an axis — a
     configuration knob with a reference realization — and compares
-    each run with the first variant's. *)
-
-type standard =
-  | Exact
-      (** Bit-identical observables on {e every} trace, faulty or
-          hostile included: exact verdict (failure location and
-          message), exact final shape including height, and exact
-          {!fingerprint} down to the byte accounting. For variants that
-          touch no RNG draw and no schedule decision, so any [Error] is
-          a bug in one of them. *)
-  | Verdict_legality
-      (** The verdicts must agree (pass or fail), and under a strict
-          schedule (clean FIFO) the final size and legality must too.
-          Height is not compared: an instance written mid-round is
-          repaired the same round by a full sweep's later passes but
-          one round later by the incremental plan, so interacting
-          repairs occasionally (~1/1000 strict traces) settle on
-          different, equally legal trees (DESIGN.md §10). *)
+    each run with the first variant's. The variants touch no RNG draw
+    and no schedule decision, so the standard is exact on {e every}
+    trace, faulty or hostile included: the same verdict (failure
+    location and message), the same final shape including height, and
+    the same {!fingerprint} down to the byte accounting. *)
 
 type axis = {
   name : string;
   variants : (string * (Trace.t -> Trace.t)) list;
       (** named trace rewrites; the first is the reference *)
-  standard : standard;
 }
 
 val axes : axis list
 (** The configuration axes with a reference realization. Each is a
     row of {!Drtree.Config.fields}, and its variants are named by the
     row's value strings and set on the trace's [config]:
-    - [scheduler]: [full] vs [incremental], [Verdict_legality];
-    - [layout]: [hashed] vs [flat], [Exact] (DESIGN.md §11);
-    - [forest]: [single] vs [sharded:1], [Exact] (DESIGN.md §14). *)
+    - [layout]: [hashed] vs [flat] (DESIGN.md §11);
+    - [forest]: [single] vs [sharded:1] (DESIGN.md §14). *)
 
 val differential : ?probes:int -> axis -> Trace.t -> (unit, string) result
 (** Run the trace under each of [axis]'s variants and compare every run
-    with the reference's under [axis.standard]. [Error] names the axis,
-    the two variants and what differs — a counterexample to the axis's
-    equivalence.
+    with the reference's. [Error] names the axis, the two variants and
+    what differs — a counterexample to the axis's equivalence.
     @raise Invalid_argument if [axis.variants] is empty. *)
 
 val random_rect : Sim.Rng.t -> Geometry.Rect.t

@@ -30,7 +30,7 @@ type op =
   | Join of Geometry.Rect.t
   | Leave of int
       (** controlled departure of the [i mod n]-th live process (id
-          order); skipped when fewer than 3 remain *)
+          order); a no-op when fewer than 3 remain *)
   | Crash of int  (** silent death, same victim selection as [Leave] *)
   | Corrupt of int * int
       (** [Corrupt (victim, seed)]: one random state corruption

@@ -2,33 +2,16 @@
    plain batch and a wire batch per axis, as (first seed, count,
    generator), and the one loop that runs a batch through
    [Fuzz.differential]. The suite that owns an axis's subject
-   (test_scheduler, test_state_layout, test_forest) registers the
-   axis's batches with [test_cases]; test_mck checks that every axis
-   has some. *)
+   (test_state_layout, test_forest) registers the axis's batches with
+   [test_cases]; test_mck checks that every axis has some. *)
 
-module Cfg = Drtree.Config
 module Trace = Mck.Trace
 module Fuzz = Mck.Fuzz
 
 type batch = { base : int; count : int; gen : Sim.Rng.t -> Trace.t }
 
-let incremental = { Cfg.default with Cfg.scheduler = Cfg.Incremental }
-
 let batches =
   [
-    ( "scheduler",
-      [
-        {
-          base = 26_000;
-          count = 40;
-          gen = (fun rng -> Fuzz.random_trace rng ());
-        };
-        {
-          base = 27_000;
-          count = 20;
-          gen = (fun rng -> Fuzz.random_trace rng ~transport:Trace.Wire ());
-        };
-      ] );
     ( "layout",
       [
         {
@@ -41,8 +24,7 @@ let batches =
           count = 20;
           gen =
             (fun rng ->
-              Fuzz.random_trace rng ~transport:Trace.Wire
-                ~config:incremental ~drop:0.1 ());
+              Fuzz.random_trace rng ~transport:Trace.Wire ~drop:0.1 ());
         };
       ] );
     ( "forest",
@@ -58,8 +40,7 @@ let batches =
           gen =
             (fun rng ->
               Fuzz.random_trace rng ~transport:Trace.Wire
-                ~config:incremental ~sched:Mck.Schedule.Random
-                ~drop:0.1 ());
+                ~sched:Mck.Schedule.Random ~drop:0.1 ());
         };
       ] );
   ]

@@ -417,6 +417,49 @@ let test_sent_cache_names_current_parent () =
   alco_exact rt qid;
   Rt.detach rt
 
+let test_forged_subscribe_heals () =
+  (* A forged Agg_subscribe that reuses the live query id with a wrong
+     rectangle, delivered to every fourth non-root process: anti-entropy
+     must compare definitions, not only test for the id, or the wrong
+     one is never replaced. Each epoch follows one stabilization round,
+     which co-runs the repair pass. *)
+  List.iter
+    (fun (seed, shards) ->
+      let ov =
+        if shards = 1 then build ~seed 64 else build_sharded ~seed ~shards 64
+      in
+      let rt = Rt.attach ov in
+      let roots = List.filter_map Fun.id (O.shard_roots ov) in
+      let non_roots =
+        List.filter
+          (fun id -> not (List.exists (Sim.Node_id.equal id) roots))
+          (O.alive_ids ov)
+      in
+      let qid = Rt.register rt ~owner:(List.hd non_roots) ~rect:full A.Sum in
+      let forged =
+        match Rt.query rt qid with
+        | Some q -> { q with Agg.Query.q_rect = rect 0.0 0.0 50.0 50.0 }
+        | None -> Alcotest.fail "registered query unknown"
+      in
+      List.iteri
+        (fun i id ->
+          if i mod 4 = 0 then
+            Sim.Engine.inject (O.engine ov) ~dst:id
+              (Drtree.Message.Agg_subscribe { query = forged; hops = 0 }))
+        non_roots;
+      O.run ov;
+      for e = 1 to 10 do
+        O.stabilize_round ov;
+        emit rt ~seed:((1000 * seed) + e);
+        Rt.run_epoch rt;
+        match fresh_error rt qid with
+        | None -> ()
+        | Some m ->
+            Alcotest.failf "seed %d, %d shard(s), epoch %d: %s" seed shards e m
+      done;
+      Rt.detach rt)
+    [ (1, 1); (2, 1); (3, 1); (1, 4); (2, 4); (3, 4) ]
+
 (* --- The forest-wide merge plane (DESIGN.md §15) --------------------------------- *)
 
 let test_sharded_exact_all_fns () =
@@ -609,6 +652,8 @@ let () =
             test_rx_purged_after_crash;
           Alcotest.test_case "sent cache tracks the parent" `Quick
             test_sent_cache_names_current_parent;
+          Alcotest.test_case "forged query definition heals" `Quick
+            test_forged_subscribe_heals;
         ] );
       ( "forest",
         [

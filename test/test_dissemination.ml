@@ -1,11 +1,12 @@
 (* Tests for event dissemination (§2.3, §3): zero false negatives,
-   bounded false positives, the paper's running example, and the
-   typed pub/sub facade. *)
+   bounded false positives, the paper's running example, the typed
+   pub/sub facade, and the bounded per-process event-dedup window. *)
 
 module R = Geometry.Rect
 module P = Geometry.Point
 module O = Drtree.Overlay
 module Inv = Drtree.Invariant
+module St = Drtree.State
 module Ps = Drtree.Pubsub
 module Sub = Filter.Subscription
 module Ev = Filter.Event
@@ -22,9 +23,9 @@ let random_rect rng =
   let w = Sim.Rng.range rng 1.0 10.0 and h = Sim.Rng.range rng 1.0 10.0 in
   rect x0 y0 (x0 +. w) (y0 +. h)
 
-let build ~seed n =
-  let rng = Sim.Rng.make (seed * 31) in
-  let ov = O.create ~seed () in
+let build ?cfg ?(salt = 31) ~seed n =
+  let rng = Sim.Rng.make (seed * salt) in
+  let ov = O.create ?cfg ~seed () in
   for _ = 1 to n do
     ignore (O.join ov (random_rect rng))
   done;
@@ -389,6 +390,51 @@ let test_pubsub_subscription_lookup () =
     | None -> false);
   check_bool "missing" true (Ps.subscription ps 999 = None)
 
+(* --- Bounded State.seen dedup window ------------------------------------- *)
+
+let test_seen_window_bound () =
+  let r = rect 0.0 0.0 1.0 1.0 in
+  let s = St.create ~seen_capacity:8 ~id:1 ~filter:r () in
+  for e = 1 to 100 do
+    check_bool "first sight is fresh" true (St.mark_seen s e)
+  done;
+  check_bool "window stays bounded" true (St.seen_size s <= 8);
+  (* Recent ids still dedup... *)
+  for e = 93 to 100 do
+    check_bool "recent id dedups" false (St.mark_seen s e)
+  done;
+  (* ...while evicted ids read as fresh again (FIFO eviction). *)
+  check_bool "evicted id is fresh again" true (St.mark_seen s 1);
+  St.clear_seen s;
+  check_int "clear empties the window" 0 (St.seen_size s)
+
+let test_seen_capacity_validation () =
+  let r = rect 0.0 0.0 1.0 1.0 in
+  (try
+     ignore (St.create ~seen_capacity:0 ~id:1 ~filter:r ());
+     Alcotest.fail "seen_capacity = 0 must be rejected"
+   with Invalid_argument _ -> ());
+  try
+    ignore (Drtree.Config.make ~seen_capacity:0 ());
+    Alcotest.fail "Config.make ~seen_capacity:0 must be rejected"
+  with Invalid_argument _ -> ()
+
+let test_overlay_threads_seen_capacity () =
+  let cfg = Drtree.Config.make ~seen_capacity:4 () in
+  let ov = build ~cfg ~salt:7919 ~seed:13 12 in
+  let rng = Sim.Rng.make 130 in
+  for _ = 1 to 40 do
+    let from = Sim.Rng.pick rng (O.alive_ids ov) in
+    let x = Sim.Rng.range rng 0.0 100.0
+    and y = Sim.Rng.range rng 0.0 100.0 in
+    ignore (O.publish ov ~from (P.make2 x y))
+  done;
+  O.iter_states ov (fun id s ->
+      check_bool
+        (Printf.sprintf "n%d's seen window bounded" id)
+        true
+        (St.seen_size s <= 4))
+
 let () =
   Alcotest.run "dissemination"
     [
@@ -423,5 +469,14 @@ let () =
           Alcotest.test_case "unsubscribe" `Quick test_pubsub_unsubscribe;
           Alcotest.test_case "subscription lookup" `Quick
             test_pubsub_subscription_lookup;
+        ] );
+      ( "seen-window",
+        [
+          Alcotest.test_case "FIFO window bound and dedup" `Quick
+            test_seen_window_bound;
+          Alcotest.test_case "capacity validation" `Quick
+            test_seen_capacity_validation;
+          Alcotest.test_case "overlay threads seen_capacity" `Quick
+            test_overlay_threads_seen_capacity;
         ] );
     ]

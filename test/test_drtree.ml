@@ -79,8 +79,8 @@ let test_config () =
     (try ignore (Cfg.make ~min_fill:3 ~max_fill:5 ()); false
      with Invalid_argument _ -> true)
 
-(* Valid configurations over all 12 fields. The floats are uniform
-   draws, so they carry more than 6 significant digits. *)
+(* Valid configurations over all 10 fields. The heartbeat period is a
+   uniform draw, so it carries more than 6 significant digits. *)
 let gen_config =
   let open QCheck2.Gen in
   let* min_fill = int_range 2 6 in
@@ -89,8 +89,6 @@ let gen_config =
   and+ oracle = oneofl Cfg.[ Root_oracle; Random_oracle ]
   and+ cover_sweep = bool
   and+ publish_ttl = int_range 1 1000
-  and+ scheduler = oneofl Cfg.[ Full_sweep; Incremental ]
-  and+ scan_fraction = float_bound_inclusive 1.0
   and+ seen_capacity = int_range 1 100_000
   and+ layout = oneofl Cfg.[ Hashed; Flat ]
   and+ detector =
@@ -109,8 +107,8 @@ let gen_config =
         map (fun shards -> Cfg.Sharded { shards }) (int_range 1 Cfg.max_shards);
       ]
   in
-  { Cfg.min_fill; max_fill; split; oracle; cover_sweep; publish_ttl; scheduler;
-    scan_fraction; seen_capacity; layout; detector; forest }
+  { Cfg.min_fill; max_fill; split; oracle; cover_sweep; publish_ttl;
+    seen_capacity; layout; detector; forest }
 
 (* Text round-trips exactly, both as a config string and as a trace's
    config line. *)

@@ -5,10 +5,10 @@
    tree re-converges to a legal state that excludes it, and a live,
    responsive process is never confirmed dead no matter how long the
    run — the detector's verdicts come from silence alone, so at drop 0
-   a challenge reply always beats the conviction deadline. Plus the
-   ISSUE's acceptance sweep: heartbeat traces through the full mck
-   harness across inproc/wire × full/incremental, where the fuzz
-   runner itself asserts crash-convergence and zero false kills. *)
+   a challenge reply always beats the conviction deadline. Plus an
+   acceptance sweep: heartbeat traces through the full mck harness,
+   inproc and over the wire, where the fuzz runner itself asserts
+   crash-convergence and zero false kills. *)
 
 module R = Geometry.Rect
 module O = Drtree.Overlay
@@ -46,24 +46,6 @@ let test_attach_rejects_oracle () =
     ignore (Fd.Runtime.attach ov);
     Alcotest.fail "attach under Oracle must be rejected"
   with Invalid_argument _ -> ()
-
-(* The detector's text form is its knob-table row: the [detector] key of
-   Config.to_string / of_string. *)
-let test_detector_strings () =
-  let roundtrip d =
-    let c = { Cfg.default with Cfg.detector = d } in
-    match Cfg.of_string (Cfg.to_string c) with
-    | Ok c' -> check_bool "detector string round-trips" true (c' = c)
-    | Error e -> Alcotest.failf "Config.of_string: %s" e
-  in
-  roundtrip Cfg.Oracle;
-  roundtrip Cfg.default_heartbeat;
-  roundtrip (Cfg.Heartbeat { period = 2.5; timeout_factor = 5; fallbacks = 0 });
-  check_bool "bare heartbeat means the default" true
-    (Cfg.of_string "detector=heartbeat"
-    = Ok { Cfg.default with Cfg.detector = Cfg.default_heartbeat });
-  check_bool "garbage is rejected" true
-    (Result.is_error (Cfg.of_string "detector=telepathy"))
 
 (* --- Crash detection ------------------------------------------------------ *)
 
@@ -271,15 +253,14 @@ let test_oracle_sends_nothing () =
 
 (* The fuzz runner asserts, for heartbeat traces: every silently
    crashed process is eventually confirmed, and there are no false
-   kills under reliable delivery. 30 traces per cell of
-   {inproc, wire} × {full sweep, incremental} = 120 traces. *)
-let heartbeat_sweep ~base ~transport ~scheduler ?(drop = 0.0) () =
+   kills under reliable delivery. Four batches of 30 traces, two
+   inproc and two over the wire, the last with 5% loss. *)
+let heartbeat_sweep ~base ~transport ?(drop = 0.0) () =
   for i = 0 to 29 do
     let rng = Rng.make (base + i) in
     let tr =
       Fuzz.random_trace rng ~transport ~drop
-        ~config:
-          { Cfg.default with Cfg.scheduler; detector = Cfg.default_heartbeat }
+        ~config:(Cfg.make ~detector:Cfg.default_heartbeat ())
         ()
     in
     match Fuzz.run_trace tr with
@@ -289,22 +270,6 @@ let heartbeat_sweep ~base ~transport ~scheduler ?(drop = 0.0) () =
           Fuzz.pp_failure f Trace.pp tr
   done
 
-let test_traces_inproc_full () =
-  heartbeat_sweep ~base:61_000 ~transport:Trace.Inproc ~scheduler:Cfg.Full_sweep
-    ()
-
-let test_traces_inproc_incremental () =
-  heartbeat_sweep ~base:62_000 ~transport:Trace.Inproc
-    ~scheduler:Cfg.Incremental ()
-
-let test_traces_wire_full () =
-  heartbeat_sweep ~base:63_000 ~transport:Trace.Wire ~scheduler:Cfg.Full_sweep
-    ()
-
-let test_traces_wire_incremental_lossy () =
-  heartbeat_sweep ~base:64_000 ~transport:Trace.Wire ~scheduler:Cfg.Incremental
-    ~drop:0.05 ()
-
 let () =
   Alcotest.run "fd"
     [
@@ -312,8 +277,6 @@ let () =
         [
           Alcotest.test_case "attach rejects Oracle" `Quick
             test_attach_rejects_oracle;
-          Alcotest.test_case "detector strings round-trip" `Quick
-            test_detector_strings;
         ] );
       ( "lifecycle",
         [
@@ -328,12 +291,12 @@ let () =
       ( "traces",
         [
           Alcotest.test_case "30 inproc full-sweep traces" `Quick
-            test_traces_inproc_full;
-          Alcotest.test_case "30 inproc incremental traces" `Quick
-            test_traces_inproc_incremental;
+            (heartbeat_sweep ~base:61_000 ~transport:Trace.Inproc);
+          Alcotest.test_case "30 more inproc traces" `Quick
+            (heartbeat_sweep ~base:62_000 ~transport:Trace.Inproc);
           Alcotest.test_case "30 wire full-sweep traces" `Quick
-            test_traces_wire_full;
-          Alcotest.test_case "30 lossy wire incremental traces" `Quick
-            test_traces_wire_incremental_lossy;
+            (heartbeat_sweep ~base:63_000 ~transport:Trace.Wire);
+          Alcotest.test_case "30 lossy wire traces" `Quick
+            (heartbeat_sweep ~base:64_000 ~transport:Trace.Wire ~drop:0.05);
         ] );
     ]

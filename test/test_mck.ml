@@ -222,10 +222,9 @@ let exemplar =
     drop = 0.125;
     dup = 0.0625;
     config =
-      (* Floats with more than 6 significant digits: %g would round
-         them. *)
+      (* A float with more than 6 significant digits: %g would round
+         it. *)
       Drtree.Config.make ~max_fill:5 ~cover_sweep:false
-        ~scheduler:Drtree.Config.Incremental ~scan_fraction:0.0123456789
         ~layout:Drtree.Config.Hashed
         ~detector:
           (Drtree.Config.Heartbeat

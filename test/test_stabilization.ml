@@ -1,6 +1,7 @@
 (* Tests for the self-stabilization machinery (Figs. 9-14,
-   Lemmas 3.3-3.6): controlled/uncontrolled departures and recovery
-   from every class of memory corruption. *)
+   Lemmas 3.3-3.6): controlled/uncontrolled departures, recovery from
+   every class of memory corruption, and the quiescence test that
+   decides when [stabilize] stops. *)
 
 module R = Geometry.Rect
 module O = Drtree.Overlay
@@ -26,8 +27,8 @@ let random_rect rng =
   let w = Sim.Rng.range rng 1.0 10.0 and h = Sim.Rng.range rng 1.0 10.0 in
   rect x0 y0 (x0 +. w) (y0 +. h)
 
-let build ~seed n =
-  let rng = Sim.Rng.make (seed * 131) in
+let build ?(salt = 131) ~seed n =
+  let rng = Sim.Rng.make (seed * salt) in
   let ov = O.create ~seed () in
   for _ = 1 to n do
     ignore (O.join ov (random_rect rng))
@@ -624,6 +625,55 @@ let test_wire_round_bytes () =
       check_bool "round bytes recorded" true (r.Drtree.Telemetry.bytes > 0));
   check_bool "legal" true (legal ov)
 
+(* --- Quiescence: what [stabilize] sees between rounds ------------------- *)
+
+(* [stabilize] runs rounds while the last one marked anything, so every
+   [Corrupt] primitive (with default [?mark]) must mark: an unmarked
+   write on a quiescent tree would cost a legality check to find. *)
+let corrupt_marks_dirty =
+  let primitives =
+    [
+      ("parent", Corrupt.parent);
+      ("children", Corrupt.children);
+      ("mbr", Corrupt.mbr);
+      ("underloaded", Corrupt.underloaded);
+      ("any", Corrupt.any);
+    ]
+  in
+  QCheck2.Test.make ~name:"every Corrupt primitive marks" ~count:60
+    QCheck2.Gen.(pair int (int_range 0 (List.length primitives - 1)))
+    (fun (seed, pidx) ->
+      let seed = (abs seed mod 1000) + 1 in
+      let name, primitive = List.nth primitives pidx in
+      let ov = build ~salt:7919 ~seed 24 in
+      ignore (O.stabilize ~max_rounds:50 ~legal:Inv.is_legal ov);
+      if O.dirty_size ov <> 0 then
+        QCheck2.Test.fail_reportf "not quiescent before corruption";
+      let rng = Sim.Rng.make (seed * 31 + pidx) in
+      let victim = Sim.Rng.pick rng (O.alive_ids ov) in
+      if primitive ov rng victim && O.dirty_size ov = 0 then
+        QCheck2.Test.fail_reportf "Corrupt.%s marked nothing" name;
+      true)
+
+(* Silent corruption ([~mark:false]) leaves a quiescent but illegal
+   tree: [stabilize]'s legality check sees it, marks everything and
+   converges. *)
+let test_silent_corruption_escalation () =
+  let ov = build ~salt:7919 ~seed:5 32 in
+  ignore (O.stabilize ~max_rounds:50 ~legal:Inv.is_legal ov);
+  let rng = Sim.Rng.make 55 in
+  let applied = ref 0 in
+  List.iteri
+    (fun i v ->
+      if i mod 8 = 0 && Corrupt.any ~mark:false ov rng v then incr applied)
+    (O.alive_ids ov);
+  check_bool "some corruption applied" true (!applied > 0);
+  check_int "nothing marked" 0 (O.dirty_size ov);
+  (match O.stabilize ~max_rounds:50 ~legal:Inv.is_legal ov with
+  | Some _ -> ()
+  | None -> Alcotest.fail "stabilize did not converge after escalation");
+  check_bool "legal after escalation" true (legal ov)
+
 let () =
   Alcotest.run "stabilization"
     [
@@ -708,4 +758,10 @@ let () =
       ( "wire-transport",
         [ Alcotest.test_case "round bytes + per-kind traffic" `Quick
             test_wire_round_bytes ] );
+      ( "quiescence",
+        [
+          QCheck_alcotest.to_alcotest corrupt_marks_dirty;
+          Alcotest.test_case "silent corruption escalates" `Quick
+            test_silent_corruption_escalation;
+        ] );
     ]
