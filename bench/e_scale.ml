@@ -11,7 +11,7 @@ open Harness
 
 (* --- E23: laptop-scale stress ------------------------------------------- *)
 
-(* The top of this range runs on the flat interned layout (DESIGN.md
+(* The top of this range runs on the flat layout (DESIGN.md
    §11, the library default); override the populations for a CI smoke
    run with e.g. DRTREE_E23_SIZES=1024,4096. *)
 let e23_sizes () =

@@ -86,8 +86,7 @@ let tests () =
       (Staged.stage (fun () -> ignore (Drtree.Invariant.check ov)))
   in
   (* Flat state layout (DESIGN.md §11): per-height level access on a
-     mid-tree instance, the write-path mark, and the intern table that
-     backs the store's dense indexing. *)
+     mid-tree instance and the write-path mark. *)
   let next_id () =
     idx := (!idx + 1) land 1023;
     ids.(!idx mod Array.length ids)
@@ -114,18 +113,6 @@ let tests () =
     Test.make ~name:"access mark (count + claimant refresh)"
       (Staged.stage (fun () ->
            Drtree.Access.mark net (next_id ()) (!idx land 7)))
-  in
-  let intern_tbl = Drtree.Intern.create () in
-  Array.iter (fun id -> ignore (Drtree.Intern.intern intern_tbl id)) ids;
-  let t_intern =
-    Test.make ~name:"intern hit (N=256 live)"
-      (Staged.stage (fun () ->
-           ignore (Drtree.Intern.intern intern_tbl (next_id ()))))
-  in
-  let t_intern_find =
-    Test.make ~name:"intern find"
-      (Staged.stage (fun () ->
-           ignore (Drtree.Intern.find intern_tbl (next_id ()))))
   in
   (* Wire codec: one cheap fixed-size message and one snapshot-bearing
      Report (the fattest frame the protocol sends — 4 levels here). *)
@@ -184,8 +171,6 @@ let tests () =
     t_state_get;
     t_state_set;
     t_mark;
-    t_intern;
-    t_intern_find;
     t_enc_check;
     t_enc_report;
     t_dec_check;

@@ -2,7 +2,6 @@ type fn = Drtree.Message.agg_fn = Count | Sum | Min | Max | Avg
 
 let all_fns = [ Count; Sum; Min; Max; Avg ]
 let fn_to_string = Drtree.Message.agg_fn_to_string
-let fn_of_string = Drtree.Message.agg_fn_of_string
 
 type t = Drtree.Message.agg_partial = {
   a_count : int;

@@ -14,7 +14,6 @@ type fn = Drtree.Message.agg_fn = Count | Sum | Min | Max | Avg
 
 val all_fns : fn list
 val fn_to_string : fn -> string
-val fn_of_string : string -> fn option
 
 type t = Drtree.Message.agg_partial = {
   a_count : int;

@@ -675,21 +675,3 @@ let debug_sent t id =
         (Hashtbl.fold
            (fun qid (parent, part) acc -> (qid, parent, part) :: acc)
            ns.sent [])
-
-let debug_merge_rx t id =
-  match Node_id.Table.find_opt t.nodes id with
-  | None -> []
-  | Some ns ->
-      List.sort compare
-        (Hashtbl.fold
-           (fun (qid, sh) (e, part) acc -> (qid, sh, e, part) :: acc)
-           ns.merge_rx [])
-
-let debug_merge_sent t id =
-  match Node_id.Table.find_opt t.nodes id with
-  | None -> []
-  | Some ns ->
-      List.sort compare
-        (Hashtbl.fold
-           (fun qid (root, part) acc -> (qid, root, part) :: acc)
-           ns.merge_sent [])

@@ -113,12 +113,3 @@ val debug_rx : t -> Sim.Node_id.t ->
 val debug_sent : t -> Sim.Node_id.t -> (int * Sim.Node_id.t * Aggregate.t) list
 (** One process's suppression references: [(query_id, parent,
     partial)], sorted. *)
-
-val debug_merge_rx : t -> Sim.Node_id.t -> (int * int * int * Aggregate.t) list
-(** A merge owner's cross-shard partial cache: [(query_id, shard,
-    epoch, partial)], sorted. Always empty at one shard. *)
-
-val debug_merge_sent :
-  t -> Sim.Node_id.t -> (int * Sim.Node_id.t * Aggregate.t) list
-(** A shard root's cross-shard suppression references: [(query_id,
-    owner root, partial)], sorted. Always empty at one shard. *)

@@ -1,5 +1,6 @@
 module Rect = Geometry.Rect
 module Point = Geometry.Point
+module Zorder = Geometry.Zorder
 module Int_set = Report.Int_set
 
 type t = {

@@ -42,6 +42,3 @@ val registration_messages : t -> int
 val max_registrations : t -> int
 (** Largest number of registrations stored by one rendezvous node —
     the storage hot-spot measure. *)
-
-val lookup_hops : t -> int
-(** Current [⌈log2 N⌉] (0 when fewer than 2 nodes). *)

@@ -29,11 +29,6 @@ val add : t -> Geometry.Rect.t -> int
 val remove : t -> int -> unit
 val size : t -> int
 
-val gossip_round : t -> unit
-(** One push-pull exchange at every node (id order): merge views with
-    a random peer, keep the [view_size] most-overlapping candidates,
-    refresh random links. *)
-
 val gossip : t -> rounds:int -> unit
 
 val publish : t -> from:int -> Geometry.Point.t -> Report.t

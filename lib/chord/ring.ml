@@ -34,12 +34,6 @@ let alive_ids t =
 let size t = List.length (alive_ids t)
 let key_of t id = Option.map (fun s -> s.key) (read t id)
 
-let successors_of t id =
-  match read t id with Some s -> s.successors | None -> []
-
-let predecessor_of t id =
-  match read t id with Some s -> s.predecessor | None -> None
-
 let sorted_live t =
   List.sort
     (fun (_, a) (_, b) -> Int.compare a b)

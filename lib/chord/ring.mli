@@ -31,12 +31,6 @@ val size : t -> int
 val alive_ids : t -> Sim.Node_id.t list
 val key_of : t -> Sim.Node_id.t -> Key.t option
 
-val successors_of : t -> Sim.Node_id.t -> Sim.Node_id.t list
-(** The node's current successor list (nearest first); [[]] for dead
-    or unknown nodes. For tests and debugging. *)
-
-val predecessor_of : t -> Sim.Node_id.t -> Sim.Node_id.t option
-
 val lookup : t -> from:Sim.Node_id.t -> Key.t -> (Sim.Node_id.t * int) option
 (** [lookup t ~from k] routes a find-successor request from [from];
     returns the owner and the hop count, or [None] when routing died

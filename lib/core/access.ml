@@ -4,15 +4,15 @@ module Engine = Sim.Engine
 
 (* The process store, in the configured layout (DESIGN.md §11).
    [S_hashed] is the seed realization. [S_flat] indexes a plain array
-   by intern slot: the intern table assigns each process a stable slot
-   on insertion, so [state] is two array reads and no hashing — the
-   difference that carries E23 to N=65536+. Neither layout ever
-   removes an entry: a crashed process's state must stay readable
-   ({!Invariant} follows ancestor links through dead processes), so
-   the overlay inserts but never releases. *)
+   by process id — ids are the dense integers {!Engine.spawn} hands
+   out — so [state] is one bounds check and one array read, no
+   hashing: the difference that carries E23 to N=65536+. Neither
+   layout ever removes an entry: a crashed process's state must stay
+   readable ({!Invariant} follows ancestor links through dead
+   processes), so the overlay inserts but never releases. *)
 type store =
   | S_hashed of State.t Node_id.Table.t
-  | S_flat of { intern : Intern.t; mutable arr : State.t option array }
+  | S_flat of { mutable arr : State.t option array }
 
 type net = {
   cfg : Config.t;
@@ -87,8 +87,7 @@ let create ?(cfg = Config.default) ?transport ?drop_rate
   let states =
     match cfg.Config.layout with
     | Config.Hashed -> S_hashed (Node_id.Table.create 256)
-    | Config.Flat ->
-        S_flat { intern = Intern.create ~capacity:256 (); arr = Array.make 256 None }
+    | Config.Flat -> S_flat { arr = Array.make 256 None }
   in
   let net =
     {
@@ -127,28 +126,22 @@ let is_alive net id = Engine.is_alive net.engine id
 let state net id =
   match net.states with
   | S_hashed tbl -> Node_id.Table.find_opt tbl id
-  | S_flat f -> (
-      match Intern.find f.intern id with
-      | Some slot -> f.arr.(slot)
-      | None -> None)
+  | S_flat f -> if id >= 0 && id < Array.length f.arr then f.arr.(id) else None
 
 (* The one insertion path: {!Overlay.join_async} registers every fresh
-   process here. Under the flat layout this is where the process gets
-   its intern slot. *)
+   process here. The flat array grows by doubling. *)
 let add_state net s =
   let id = State.id s in
   match net.states with
   | S_hashed tbl -> Node_id.Table.replace tbl id s
   | S_flat f ->
-      let slot = Intern.intern f.intern id in
       let cap = Array.length f.arr in
-      if slot >= cap then begin
-        let ncap = max (slot + 1) (2 * cap) in
-        let arr = Array.make ncap None in
+      if id >= cap then begin
+        let arr = Array.make (max (id + 1) (2 * cap)) None in
         Array.blit f.arr 0 arr 0 cap;
         f.arr <- arr
       end;
-      f.arr.(slot) <- Some s
+      f.arr.(id) <- Some s
 
 (* Protocol-level read: a crashed process's memory is unreachable.
    When a module body executing at another node reads this state, the
@@ -230,14 +223,10 @@ let home_of net id =
 
 let shard_count net = Array.length net.claimants
 
-(* The fan-out set of a rectangle, and the merge-owner rule of the
-   aggregation plane (DESIGN.md §15): both pure functions of the grid
-   — no probe, no RNG draw — so every process, layout and domain
-   count agrees on them without coordination. [intersecting_shards]
-   is never empty (a dimension mismatch returns every shard), so the
-   owner is total. *)
+(* The fan-out set of a rectangle: a pure function of the grid — no
+   probe, no RNG draw — so every process and layout agrees on it
+   without coordination. *)
 let intersecting_shards net r = Rendezvous.intersecting_shards net.rdv r
-let merge_owner_shard net r = List.hd (intersecting_shards net r)
 
 let claimant_table net id = net.claimants.(home_of net id)
 
@@ -445,14 +434,6 @@ let root_claimants_in net shard =
     else !live
   in
   List.sort Node_id.compare live
-
-(* Every claimant across the forest, ascending (the pre-forest
-   [root_claimants] — {!Invariant} and diagnostics still want the
-   global view). *)
-let root_claimants net =
-  List.sort Node_id.compare
-    (List.concat
-       (List.init (shard_count net) (fun s -> root_claimants_in net s)))
 
 let claimant_score net id =
   match read net id with

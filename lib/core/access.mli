@@ -16,8 +16,8 @@
 
 type store
 (** The process store in the configured {!Config.layout}: the seed's
-    hashtable, or a flat array indexed through an {!Intern} table
-    (DESIGN.md §11). Abstract — all access goes through {!state},
+    hashtable, or a flat array indexed by process id (DESIGN.md §11).
+    Abstract — all access goes through {!state},
     {!add_state} and the iteration helpers, so the rest of the library
     is layout-agnostic. *)
 
@@ -68,13 +68,12 @@ val is_alive : net -> Sim.Node_id.t -> bool
 
 val state : net -> Sim.Node_id.t -> State.t option
 (** The process state whether alive or crashed ([None] if never
-    spawned); never counts a probe. Under the flat layout this is two
-    array reads — no hashing. *)
+    spawned, negative included); never counts a probe. Under the flat
+    layout this is one bounds-checked array read — no hashing. *)
 
 val add_state : net -> State.t -> unit
 (** Register a fresh process in the store (the {!Overlay.join_async}
-    insertion path). Under the flat layout this assigns the process
-    its intern slot. Entries are never removed: crashed processes'
+    insertion path). Entries are never removed: crashed processes'
     state must stay readable ({!Invariant} follows ancestor links
     through dead processes). *)
 
@@ -110,7 +109,7 @@ val filter_candidates : net -> Geometry.Point.t -> Sim.Node_id.t list
     Every write path of the protocol flags the (process, height)
     entries it mutates, feeding both the quiescence test of
     {!Overlay.stabilize} ([marks]) and the root-claimant cache behind
-    {!root_claimants}. A missed mark leaves no damage unrepaired: every
+    {!root_claimants_in}. A missed mark leaves no damage unrepaired: every
     round sweeps every entry, and an unmarked illegal tree costs
     {!Overlay.stabilize} one legality check before it escalates
     (DESIGN.md §10). *)
@@ -129,9 +128,6 @@ val rescan_claimants : net -> unit
     processes — run at the start of every stabilization round, so
     cache staleness never outlives one round. *)
 
-val rescan_claimants_in : net -> int -> unit
-(** Rebuild one shard's claimant cache from scratch. *)
-
 (** {2 The rendezvous forest} (DESIGN.md §14)
 
     Which DR-tree of the forest a process belongs to. Under
@@ -147,9 +143,6 @@ val home_of : net -> Sim.Node_id.t -> int
     filter through {!Rendezvous.home_shard} — probe-free, RNG-free,
     [0] for never-spawned ids and under [Single]. *)
 
-val shard_size : net -> int -> int
-(** Live processes homed on the shard. *)
-
 val shard_roots : net -> Sim.Node_id.t option list
 (** Each shard's designated root, by shard number. *)
 
@@ -159,12 +152,6 @@ val intersecting_shards : net -> Geometry.Rect.t -> int list
     set, and the coverage of a standing aggregate query (DESIGN.md
     §15). Sorted ascending, duplicate-free, [[0]] under [Single]; a
     pure function of the grid — no probe, no RNG draw. *)
-
-val merge_owner_shard : net -> Geometry.Rect.t -> int
-(** The merge-owner rule of the forest-wide aggregation plane
-    (DESIGN.md §15): the lowest-numbered intersecting shard. A pure
-    function of the grid, so every process — and every layout —
-    agrees on the owner without coordination; [0] under [Single]. *)
 
 (** {2 Direct neighbor reads} *)
 
@@ -181,10 +168,6 @@ val self_snapshot : State.t -> Message.snapshot
 (** Serialize a node's own state for a REPORT reply. *)
 
 val store_snapshot : net -> asker:Sim.Node_id.t -> Message.snapshot -> unit
-val snapshot_of :
-  net -> asker:Sim.Node_id.t -> responder:Sim.Node_id.t ->
-  Message.snapshot option
-val snapshot_level : Message.snapshot -> int -> Message.level_snapshot option
 val reset_snapshots : net -> unit
 
 val neighbors_of : State.t -> Sim.Node_id.Set.t
@@ -230,9 +213,6 @@ val root_claimants_in : net -> int -> Sim.Node_id.t list
     instead of the former O(N) scan, which dominated join cost at
     scale (E23). *)
 
-val root_claimants : net -> Sim.Node_id.t list
-(** Every claimant across the forest, sorted ascending. *)
-
 val designated_root_in : net -> int -> Sim.Node_id.t option
 (** Among the shard's claimants, the one with the largest top-level
     MBR (Fig. 6), ties broken by id. *)
@@ -242,9 +222,6 @@ val designated_root : net -> Sim.Node_id.t option
     pre-forest designated root; under [Sharded] a forest-agnostic
     fallback coordinator (the aggregation attach point,
     diagnostics). *)
-
-val height_in : net -> int -> int
-(** The shard root's top height, [-1] when the shard is empty. *)
 
 val height : net -> int
 (** The tallest shard root's top height. *)

@@ -10,8 +10,6 @@ let memory_bound ~m ~max_fill ~n =
     let nf = float_of_int n in
     float_of_int max_fill *. lg2 nf *. lg2 nf /. lg2 (float_of_int m)
 
-let join_steps_bound = height_bound
-
 let repair_steps_bound ~m ~n =
   float_of_int n *. Float.max 1.0 (height_bound ~m ~n)
 

@@ -10,9 +10,6 @@ val memory_bound : m:int -> max_fill:int -> n:int -> float
 (** Lemma 3.1: memory complexity [O(M log^2 N / log m)] — returns
     [M * (log2 n)^2 / log2 m]. *)
 
-val join_steps_bound : m:int -> n:int -> float
-(** Lemma 3.2: joins stabilize in [O(log_m N)] steps. *)
-
 val repair_steps_bound : m:int -> n:int -> float
 (** Lemmas 3.3–3.5: compaction / departures stabilize in
     [O(N log_m N)] steps. *)

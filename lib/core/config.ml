@@ -184,8 +184,9 @@ let fields =
       (fun c -> c.seen_capacity)
       (fun seen_capacity c -> { c with seen_capacity });
     enum_field "layout"
-      "State-store layout: flat (arrays over an interned id space) or hashed \
-       (per-process hashtables; the layout differential's reference)."
+      "State-store layout: flat (arrays indexed by process id and height) \
+       or hashed (per-process hashtables; the layout differential's \
+       reference)."
       [ ("hashed", Hashed); ("flat", Flat) ]
       (fun c -> c.layout)
       (fun layout c -> { c with layout });

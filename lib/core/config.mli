@@ -22,10 +22,10 @@ type layout =
           hashtable of per-height level records — the pre-refactor
           semantics, kept as the differential baseline *)
   | Flat
-      (** contiguous arrays over an int-interned id space: per-process
-          dense level arrays delimited by [top], and the process store
-          itself an intern-indexed array — O(1) un-hashed access on
-          every hot read, the layout that carries N = 10⁵+ (E23) *)
+      (** contiguous arrays: per-process dense level arrays delimited
+          by [top], and the process store itself an array indexed by
+          process id — O(1) un-hashed access on every hot read, the
+          layout that carries N = 10⁵+ (E23) *)
 
 (** How the overlay learns about departures (DESIGN.md §13). The paper
     assumes crashes are {e known}; [Oracle] models that assumption,

@@ -12,9 +12,6 @@ type report = {
   max_hops : int;
 }
 
-val record_fp_interest :
-  Access.net -> State.t -> int -> Geometry.Point.t -> unit
-
 val handle_publish :
   Access.net -> Message.t Sim.Engine.ctx -> State.t -> event_id:int ->
   point:Geometry.Point.t -> at:int -> from_child:Sim.Node_id.t option ->

@@ -40,8 +40,8 @@ let ancestors ov id =
 
 (* One instance's clauses of Definition 3.1 (self-chain, attachment,
    occupancy, children coherence, MBR exactness, cover optimality) —
-   the per-(process, height) unit both the global {!check} and the
-   targeted {!check_at} are built from, plus the forest's shard-
+   the per-(process, height) unit the global {!check} sweeps, plus
+   the forest's shard-
    disjointness clauses (a link may never cross trees — vacuous at one
    shard, where [home] is constantly 0). Global facts (per-shard root
    uniqueness, reachability) live in {!check} only. [pid] prints
@@ -244,19 +244,6 @@ let check ov =
   List.rev !violations
 
 let is_legal ov = check ov = []
-
-let check_at ov p h =
-  let cfg = Overlay.cfg ov in
-  let m = cfg.Config.min_fill and big_m = cfg.Config.max_fill in
-  let home, pid, stamp, _ = forest_ctx ov in
-  let violations = ref [] in
-  let add v = violations := stamp p v :: !violations in
-  let read id = if Overlay.is_alive ov id then Overlay.state ov id else None in
-  (match read p with
-  | Some s when h >= 0 && h <= State.top s ->
-      check_level ~m ~big_m ~read ~add ~pid ~home p s h
-  | Some _ | None -> ());
-  List.rev !violations
 
 let height = Overlay.height
 

@@ -40,12 +40,6 @@ val check : Overlay.t -> violation list
 val is_legal : Overlay.t -> bool
 (** [check] is empty. Pass to {!Overlay.stabilize}. *)
 
-val check_at : Overlay.t -> Sim.Node_id.t -> int -> violation list
-(** The Definition-3.1 clauses of one (process, height) instance only
-    — the unit {!check} sweeps over all of, minus the global facts
-    (root uniqueness, reachability from the root) that no single
-    instance owns. [[]] when the process is dead or inactive at [h]. *)
-
 val height : Overlay.t -> int
 (** Height of the DR-tree, from the root instance ([0] = single
     node). *)

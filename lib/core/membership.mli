@@ -6,16 +6,6 @@
     drivers only queue protocol messages; the facade kills the node
     and runs the engine. *)
 
-val choose_best_child :
-  Access.net -> State.t -> int -> Geometry.Rect.t ->
-  (Sim.Node_id.t * Geometry.Rect.t) option
-(** Least-enlargement member for a descending join (ties: smaller
-    area, then smaller id). *)
-
-val elect_group_leader : (Geometry.Rect.t * Sim.Node_id.t) list -> Sim.Node_id.t
-(** Largest-MBR member of a split-off group (Fig. 6 principle).
-    @raise Invalid_argument on an empty group. *)
-
 val handle_add_child :
   Access.net -> State.t -> Sim.Node_id.t -> Geometry.Rect.t -> int -> int ->
   unit
@@ -27,11 +17,6 @@ val handle_join :
   Access.net -> Message.t Sim.Engine.ctx -> State.t ->
   joiner:Sim.Node_id.t -> mbr:Geometry.Rect.t -> height:int ->
   phase:[ `Up | `Down of int ] -> hops:int -> unit
-
-val descend_join :
-  Access.net -> Message.t Sim.Engine.ctx -> State.t ->
-  joiner:Sim.Node_id.t -> mbr:Geometry.Rect.t -> height:int -> at:int ->
-  hops:int -> unit
 
 val handle_leave : Access.net -> State.t -> who:Sim.Node_id.t -> height:int ->
   unit

@@ -35,19 +35,6 @@ let run (ov : t) = ignore (Engine.run ov.Access.engine)
 let mark_dirty (ov : t) id h = Access.mark ov id h
 let dirty_size (ov : t) = ov.Access.marks
 
-let log_src = Logs.Src.create "drtree" ~doc:"DR-tree overlay protocol"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
-
-let enable_logging (ov : t) =
-  Engine.set_tracer ov.Access.engine (fun time ~src ~dst msg ->
-      Log.debug (fun m ->
-          m "t=%.1f %s -> %a : %a" time
-            (match src with
-            | Some s -> Node_id.to_string s
-            | None -> "env")
-            Node_id.pp dst Message.pp msg))
-
 (* --- Engine handler ----------------------------------------------------- *)
 
 let handle (ov : t) ctx msg =
@@ -316,8 +303,6 @@ let stabilize_mp ?max_rounds ~legal ov =
 
 (* --- Metrics -------------------------------------------------------------- *)
 
-let state_probes (ov : t) = Telemetry.probes ov.Access.tele
-let reset_state_probes (ov : t) = Telemetry.reset_probes ov.Access.tele
 let fp_swap_round = Dissemination.fp_swap_round
 
 (* --- Aggregation hooks ----------------------------------------------------- *)

@@ -220,23 +220,6 @@ val dirty_size : t -> int
 (** Marks made since the last stabilization round began (0 at
     quiescence). *)
 
-val enable_logging : t -> unit
-(** Install an engine tracer that reports every message delivery on
-    the library's [Logs] source ("drtree", debug level). Useful with
-    [Logs.set_level (Some Logs.Debug)] when debugging a scenario. *)
-
-val log_src : Logs.src
-(** The library's log source. *)
-
-val state_probes : t -> int
-(** Cumulative count of remote state reads performed by module bodies
-    (the shared-state model's implicit communication): each would be a
-    query/reply round trip in a purely message-passing implementation.
-    E7 reports these alongside the explicit protocol messages.
-    Shorthand for [Telemetry.probes (telemetry t)]. *)
-
-val reset_state_probes : t -> unit
-
 val fp_swap_round : t -> int
 (** Dynamic reorganization of §3.2: every interior instance compares
     its accumulated false-positive count with what each child would

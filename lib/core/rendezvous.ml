@@ -5,7 +5,7 @@
    degenerates to the identity: every process homes on shard 0 and no
    mapping machinery is ever consulted, so the code path is the
    pre-forest one, bit for bit. [Sharded] partitions the space by the
-   Z-order grid of [Baselines.Zorder] into [shards] contiguous
+   Z-order grid of [Geometry.Zorder] into [shards] contiguous
    key ranges: Z-order keeps each range spatially coherent (a shard is
    a union of nearby cells), the ranges are a total, balanced and
    deterministic partition of the key space, and the mapping is a pure
@@ -13,7 +13,7 @@
    two runs (under either layout, say) agree on every assignment. *)
 
 module Rect = Geometry.Rect
-module Zorder = Baselines.Zorder
+module Zorder = Geometry.Zorder
 
 type t =
   | Single

@@ -5,7 +5,7 @@
     shard, every process homes on it, and none of the mapping
     machinery is consulted, keeping the code path bit-identical to the
     pre-forest system. Under [Sharded {shards}] the space is
-    partitioned by Z-order ({!Baselines.Zorder}) into [shards]
+    partitioned by Z-order ({!Geometry.Zorder}) into [shards]
     contiguous key ranges; the mapping is a pure function of the grid
     (no RNG, no schedule state), so it is total, balanced, and
     deterministic across layouts ([test_forest.ml] holds it to

@@ -19,13 +19,10 @@ val mark_up : Access.net -> State.t -> int -> unit
     one level up): [sp] itself below its top, the external parent at
     the top, nobody when [sp] is the root. *)
 
-val compute_mbr_v : Access.t -> int -> unit
-(** Compute_MBR (Fig. 7) through a view: the instance MBR is the
-    union of the children MBRs as observed; unreadable children are
-    left out (CHECK_CHILDREN evicts them). *)
-
 val compute_mbr : Access.net -> State.t -> int -> unit
-(** {!compute_mbr_v} over a direct view. *)
+(** Compute_MBR (Fig. 7): the instance MBR is the union of the
+    children MBRs; unreadable children are left out (CHECK_CHILDREN
+    evicts them). *)
 
 val is_better_mbr_cover : Access.net -> State.t -> Sim.Node_id.t -> int -> bool
 
@@ -78,7 +75,3 @@ val search_compaction_candidate :
     no sibling is feasible. *)
 
 val merge_children : Access.net -> Sim.Node_id.t -> Sim.Node_id.t -> int -> unit
-val move_member :
-  Access.net -> Sim.Node_id.t -> Sim.Node_id.t -> Sim.Node_id.t -> int -> bool
-val member_count : Access.net -> int -> Sim.Node_id.t -> int
-val member_underloaded : Access.net -> Config.t -> int -> Sim.Node_id.t -> bool

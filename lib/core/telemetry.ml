@@ -87,7 +87,6 @@ type t = {
   mutable fd_false_kills : int;
       (* confirmed-dead verdicts whose target was in fact alive *)
   mutable fd_latency_sum : float;
-  mutable fd_latency_max : float;
   mutable fd_latency_count : int;
       (* detection latency: simulated time from a true crash to its
          confirmed-dead verdict, over true confirms only *)
@@ -116,7 +115,6 @@ let create () =
     fd_confirms = 0;
     fd_false_kills = 0;
     fd_latency_sum = 0.0;
-    fd_latency_max = 0.0;
     fd_latency_count = 0;
   }
 
@@ -201,7 +199,6 @@ let reset_rounds t =
   t.round_mark <- None
 
 let round_repairs (r : round_report) kind = r.repairs.(repair_index kind)
-let round_total_repairs (r : round_report) = Array.fold_left ( + ) 0 r.repairs
 
 (* {2 Aggregation epoch counters} *)
 
@@ -234,14 +231,6 @@ let agg_epochs t = List.rev t.agg_epochs
 let last_agg_epoch t =
   match t.agg_epochs with [] -> None | r :: _ -> Some r
 
-let reset_agg t =
-  t.agg_sent <- 0;
-  t.agg_suppressed <- 0;
-  t.agg_stale <- 0;
-  t.agg_merges <- 0;
-  t.agg_epochs <- [];
-  t.agg_mark <- None
-
 (* {2 Failure-detection counters (lib/fd)} *)
 
 let record_fd_suspicion t ~false_positive =
@@ -254,7 +243,6 @@ let record_fd_confirm t ~false_kill ~latency =
   if false_kill then t.fd_false_kills <- t.fd_false_kills + 1
   else begin
     t.fd_latency_sum <- t.fd_latency_sum +. latency;
-    t.fd_latency_max <- Float.max t.fd_latency_max latency;
     t.fd_latency_count <- t.fd_latency_count + 1
   end
 
@@ -266,18 +254,6 @@ let fd_false_kills t = t.fd_false_kills
 let fd_mean_detection_latency t =
   if t.fd_latency_count = 0 then None
   else Some (t.fd_latency_sum /. float_of_int t.fd_latency_count)
-
-let fd_max_detection_latency t =
-  if t.fd_latency_count = 0 then None else Some t.fd_latency_max
-
-let reset_fd t =
-  t.fd_suspicions <- 0;
-  t.fd_false_suspicions <- 0;
-  t.fd_confirms <- 0;
-  t.fd_false_kills <- 0;
-  t.fd_latency_sum <- 0.0;
-  t.fd_latency_max <- 0.0;
-  t.fd_latency_count <- 0
 
 (* {2 False-positive interest counters (§3.2 dynamic reorganization)} *)
 
@@ -332,10 +308,6 @@ let pp_round ppf (r : round_report) =
     r.round r.probes r.messages
     (if r.bytes > 0 then Printf.sprintf " bytes=%d" r.bytes else "")
     r.execs (String.concat " " nonzero)
-
-let pp_agg_epoch ppf (r : agg_epoch_report) =
-  Format.fprintf ppf "epoch %d: sent=%d suppressed=%d stale=%d" r.epoch
-    r.partials_sent r.suppressed r.stale_dropped
 
 let pp ppf t =
   Format.fprintf ppf "probes=%d repairs=%d rounds=%d" t.probes

@@ -16,11 +16,6 @@ type t
     performed a state mutation. *)
 type repair = Mbr | Children | Parent | Cover | Structure | Root
 
-val repair_kinds : repair list
-(** All kinds, in a fixed display order. *)
-
-val repair_label : repair -> string
-
 val create : unit -> t
 
 (** {2 State probes}
@@ -109,7 +104,6 @@ val rounds : t -> round_report list
 val last_round : t -> round_report option
 val reset_rounds : t -> unit
 val round_repairs : round_report -> repair -> int
-val round_total_repairs : round_report -> int
 
 (** {2 Aggregation epoch counters}
 
@@ -153,8 +147,6 @@ val agg_epochs : t -> agg_epoch_report list
 (** All completed epochs, oldest first. *)
 
 val last_agg_epoch : t -> agg_epoch_report option
-val reset_agg : t -> unit
-val pp_agg_epoch : Format.formatter -> agg_epoch_report -> unit
 
 (** {2 Failure-detection counters}
 
@@ -179,9 +171,6 @@ val fd_false_kills : t -> int
 
 val fd_mean_detection_latency : t -> float option
 (** [None] until the first true confirm. *)
-
-val fd_max_detection_latency : t -> float option
-val reset_fd : t -> unit
 
 (** {2 False-positive interest counters (§3.2)}
 

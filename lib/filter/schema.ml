@@ -16,9 +16,6 @@ let dims s = Array.length s.names
 let attributes s = Array.to_list s.names
 let dimension s name = Hashtbl.find_opt s.index name
 
-let dimension_exn s name =
-  match dimension s name with Some i -> i | None -> raise Not_found
-
 let attribute s i =
   if i < 0 || i >= dims s then invalid_arg "Schema.attribute: out of range";
   s.names.(i)

@@ -20,9 +20,6 @@ val attributes : t -> string list
 val dimension : t -> string -> int option
 (** [dimension s name] is the dimension carrying [name], if any. *)
 
-val dimension_exn : t -> string -> int
-(** Like {!dimension}. @raise Not_found if the attribute is unknown. *)
-
 val attribute : t -> int -> string
 (** [attribute s i] is the attribute of dimension [i].
     @raise Invalid_argument if out of range. *)

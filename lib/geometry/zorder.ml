@@ -1,6 +1,3 @@
-module Rect = Geometry.Rect
-module Point = Geometry.Point
-
 type t = { bits : int; space : Rect.t; dims : int }
 
 let create ?(bits_per_dim = 4) ~space () =

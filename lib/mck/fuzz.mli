@@ -46,11 +46,7 @@ type location = [ `Prelude of int | `Op of int | `Final ]
 type failure = { at : location; what : string }
 type outcome = Passed | Failed of failure
 
-val pp_location : Format.formatter -> location -> unit
 val pp_failure : Format.formatter -> failure -> unit
-
-val round_bound : int -> int
-(** Convergence budget for a population of [n]: [4 * max 4 n + 20]. *)
 
 val height_bound : min_fill:int -> int -> int
 (** Largest height a legal tree on [n] processes can have

@@ -13,18 +13,12 @@
 
 type mode = Shared | Message_passing
 
-val mode_to_string : mode -> string
-val mode_of_string : string -> (mode, string) result
-
 type transport = Inproc | Wire
 (** Which {!Sim.Transport} the replayed overlay runs on. [Wire] routes
     every inter-process message through {!Drtree.Message.Codec}, so a
     trace also model-checks the serialization boundary: any decode
     failure during the run is a counterexample. Traces without a
     [transport] line parse as [Inproc]. *)
-
-val transport_to_string : transport -> string
-val transport_of_string : string -> (transport, string) result
 
 type op =
   | Join of Geometry.Rect.t
@@ -66,7 +60,6 @@ val default : t
 (** Seed 1, shared mode, inproc transport, FIFO schedule, no faults,
     {!Drtree.Config.default}, empty prelude and ops. *)
 
-val pp_op : Format.formatter -> op -> unit
 val pp : Format.formatter -> t -> unit
 
 (** {2 Codec}

@@ -1,9 +1,5 @@
 type action = Join | Leave
 
-let pp_action ppf = function
-  | Join -> Format.pp_print_string ppf "join"
-  | Leave -> Format.pp_print_string ppf "leave"
-
 let trace rng ~join_rate ~leave_rate ~horizon =
   if join_rate < 0.0 || leave_rate < 0.0 then
     invalid_arg "Churn.trace: negative rate";

@@ -6,8 +6,6 @@
 
 type action = Join | Leave
 
-val pp_action : Format.formatter -> action -> unit
-
 val trace :
   Rng.t ->
   join_rate:float ->

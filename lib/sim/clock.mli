@@ -5,8 +5,5 @@
     wall-clock deltas cannot jump. The epoch is arbitrary — only
     differences between readings are meaningful. *)
 
-val now_ns : unit -> int64
-(** Nanoseconds since an arbitrary, fixed epoch. *)
-
 val now : unit -> float
-(** Seconds since the same epoch, as a float ([now_ns] / 1e9). *)
+(** Seconds since an arbitrary, fixed epoch. *)

@@ -50,8 +50,6 @@ type 'm t = {
   mutable last_decode_error : string option;
   mutable scheduler : ('m pending_event array -> choice) option;
   mutable meter : ([ `Sent | `Received ] -> 'm -> int -> unit) option;
-  mutable tracer :
-    (float -> src:Node_id.t option -> dst:Node_id.t -> 'm -> unit) option;
 }
 
 and 'm ctx = { eng : 'm t; id : Node_id.t }
@@ -93,7 +91,6 @@ let create ?(latency = Fixed 1.0) ?(transport = Transport.Inproc)
     last_decode_error = None;
     scheduler = None;
     meter = None;
-    tracer = None;
   }
 
 let rng t = t.rng
@@ -230,9 +227,6 @@ let deliver t { src; dst; msg; frame; bytes } =
             t.bytes_received <- t.bytes_received + bytes;
             match t.meter with Some f -> f `Received m bytes | None -> ()
           end;
-          (match t.tracer with
-          | Some trace -> trace t.time ~src:(src_option src) ~dst m
-          | None -> ());
           handler { eng = t; id = dst } m)
   | None -> t.dropped <- t.dropped + 1
 
@@ -353,6 +347,5 @@ let reset_counters t =
   t.decode_errors <- 0;
   t.last_decode_error <- None
 
-let set_tracer t tracer = t.tracer <- Some tracer
 let set_meter t meter = t.meter <- meter
 let set_scheduler t sched = t.scheduler <- sched

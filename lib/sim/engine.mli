@@ -175,12 +175,6 @@ val loss_model : 'm t -> loss_model
 val events_processed : 'm t -> int
 val reset_counters : 'm t -> unit
 
-val set_tracer :
-  'm t -> (float -> src:Node_id.t option -> dst:Node_id.t -> 'm -> unit) -> unit
-(** Invoked at each delivery (before the handler), with the message
-    the handler will see — under [Wire], the decoded frame. For
-    debugging and the examples' narration. *)
-
 val set_meter : 'm t -> ([ `Sent | `Received ] -> 'm -> int -> unit) option -> unit
 (** [set_meter t (Some f)] observes every inter-process message with
     its frame byte size ([0] under [Inproc]): [f `Sent m bytes] at

@@ -26,7 +26,3 @@ let linear points =
   in
   let r2 = if ss_tot = 0.0 then nan else 1.0 -. (ss_res /. ss_tot) in
   { slope; intercept; r2 }
-
-let pp_fit ppf f =
-  Format.fprintf ppf "slope=%.3f intercept=%.3f r2=%.3f" f.slope f.intercept
-    f.r2

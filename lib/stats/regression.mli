@@ -14,5 +14,3 @@ type fit = {
 val linear : (float * float) list -> fit
 (** [linear [(x, y); ...]] fits [y = slope * x + intercept].
     @raise Invalid_argument with fewer than 2 points or constant x. *)
-
-val pp_fit : Format.formatter -> fit -> unit

@@ -4,7 +4,7 @@
 module Ring = Chord.Ring
 module Key = Chord.Key
 module Cp = Baselines.Chord_pubsub
-module Z = Baselines.Zorder
+module Z = Geometry.Zorder
 module R = Geometry.Rect
 module P = Geometry.Point
 module Int_set = Baselines.Report.Int_set

@@ -95,23 +95,11 @@ let test_lifetime () =
   stabilize ();
   checkpoint ov rng "after regrowth"
 
-let test_logging_smoke () =
-  (* enable_logging must not disturb the protocol. *)
-  let rng = Rng.make 5 in
-  let ov = O.create ~seed:5 () in
-  O.enable_logging ov;
-  for _ = 1 to 30 do
-    ignore (O.join ov (random_rect rng))
-  done;
-  check_bool "stabilizes with logging on" true
-    (O.stabilize ~legal:Inv.is_legal ov <> None)
-
 let () =
   Alcotest.run "soak"
     [
       ( "lifetime",
         [
           Alcotest.test_case "600-node mixed lifetime" `Slow test_lifetime;
-          Alcotest.test_case "logging smoke" `Quick test_logging_smoke;
         ] );
     ]

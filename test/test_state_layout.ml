@@ -1,6 +1,6 @@
-(* The flat interned state layout (DESIGN.md §11): the intern table's
-   slot contract under churn, Hashed-vs-Flat observational equivalence
-   of [State] under random activation sequences, the layout key of the
+(* The flat state layout (DESIGN.md §11): Hashed-vs-Flat observational
+   equivalence of [State] under random activation sequences, store
+   lookups outside the spawn range, the layout key of the
    trace codec's config line, and the mck layout axis over random
    traces — the headline bit-identical guarantee, at test scale (fixed
    traces in axis_traces.ml; `fuzz --differential layout` runs it at
@@ -11,126 +11,11 @@ module R = Geometry.Rect
 module O = Drtree.Overlay
 module St = Drtree.State
 module Cfg = Drtree.Config
-module Intern = Drtree.Intern
 module Trace = Mck.Trace
 module Fuzz = Mck.Fuzz
 
 let check_bool msg expected actual = Alcotest.(check bool) msg expected actual
 let check_int msg expected actual = Alcotest.(check int) msg expected actual
-
-(* --- Intern table: qcheck slot contract ---------------------------------- *)
-
-(* Dense assignment: n distinct interns with no releases occupy exactly
-   slots 0..n-1, in first-sight order. *)
-let intern_dense =
-  QCheck2.Test.make ~name:"intern hands out dense slots in first-sight order"
-    ~count:100
-    QCheck2.Gen.(list_size (int_range 0 50) (int_range 0 1000))
-    (fun ids ->
-      let t = Intern.create ~capacity:1 () in
-      let expected = ref [] in
-      List.iter
-        (fun id ->
-          let fresh = not (Intern.mem t id) in
-          let slot = Intern.intern t id in
-          if fresh then begin
-            if slot <> Intern.live t - 1 then
-              QCheck2.Test.fail_reportf
-                "fresh id %d got slot %d, want next dense slot %d" id slot
-                (Intern.live t - 1);
-            expected := (id, slot) :: !expected
-          end)
-        ids;
-      let distinct = List.length !expected in
-      if Intern.live t <> distinct then
-        QCheck2.Test.fail_reportf "live %d <> distinct ids %d" (Intern.live t)
-          distinct;
-      if Intern.capacity t <> distinct then
-        QCheck2.Test.fail_reportf "capacity %d <> distinct ids %d"
-          (Intern.capacity t) distinct;
-      true)
-
-(* The full churn contract, against a model: random intern/release
-   sequences must keep (a) live slots stable (an id's slot never moves
-   while live), (b) the live map injective (a freed slot is never
-   handed out while some live id still maps to it), and (c) both
-   directions round-tripping. *)
-let intern_churn =
-  QCheck2.Test.make
-    ~name:"slots stable, never aliased, round-tripping across churn"
-    ~count:200
-    QCheck2.Gen.(list_size (int_range 0 120) (pair bool (int_range 0 40)))
-    (fun ops ->
-      let t = Intern.create ~capacity:4 () in
-      let model = Hashtbl.create 16 (* id -> slot, live entries only *) in
-      List.iter
-        (fun (is_intern, id) ->
-          if is_intern then begin
-            let slot = Intern.intern t id in
-            (match Hashtbl.find_opt model id with
-            | Some old when old <> slot ->
-                QCheck2.Test.fail_reportf
-                  "live id %d moved from slot %d to %d" id old slot
-            | Some _ -> ()
-            | None ->
-                Hashtbl.iter
-                  (fun id' slot' ->
-                    if slot' = slot then
-                      QCheck2.Test.fail_reportf
-                        "slot %d of live id %d aliased to id %d" slot id' id)
-                  model;
-                Hashtbl.replace model id slot);
-            match Intern.resolve t slot with
-            | Some id' when id' = id -> ()
-            | other ->
-                QCheck2.Test.fail_reportf
-                  "resolve (intern %d) = %s, want Some %d" id
-                  (match other with
-                  | None -> "None"
-                  | Some i -> Printf.sprintf "Some %d" i)
-                  id
-          end
-          else begin
-            Intern.release t id;
-            Hashtbl.remove model id;
-            if Intern.find t id <> None then
-              QCheck2.Test.fail_reportf "released id %d still found" id
-          end)
-        ops;
-      if Intern.live t <> Hashtbl.length model then
-        QCheck2.Test.fail_reportf "live %d <> model %d" (Intern.live t)
-          (Hashtbl.length model);
-      Hashtbl.iter
-        (fun id slot ->
-          if Intern.find t id <> Some slot then
-            QCheck2.Test.fail_reportf "id %d lost its slot %d" id slot;
-          if Intern.resolve t slot <> Some id then
-            QCheck2.Test.fail_reportf "slot %d lost its id %d" slot id)
-        model;
-      (* iter agrees with the model and visits in slot order. *)
-      let seen = ref [] in
-      Intern.iter t (fun id slot -> seen := (id, slot) :: !seen);
-      let seen = List.rev !seen in
-      if List.length seen <> Hashtbl.length model then
-        QCheck2.Test.fail_reportf "iter visited %d, model has %d"
-          (List.length seen) (Hashtbl.length model);
-      ignore
-        (List.fold_left
-           (fun prev (_, slot) ->
-             if slot <= prev then
-               QCheck2.Test.fail_reportf "iter out of slot order at %d" slot;
-             slot)
-           (-1) seen);
-      true)
-
-let test_intern_negative_id () =
-  let t = Intern.create () in
-  (try
-     ignore (Intern.intern t (-1));
-     Alcotest.fail "negative id must be rejected"
-   with Invalid_argument _ -> ());
-  check_bool "find tolerates negative ids" true (Intern.find t (-3) = None);
-  check_bool "resolve tolerates wild slots" true (Intern.resolve t 99 = None)
 
 (* --- State: Hashed vs Flat observational equivalence --------------------- *)
 
@@ -292,15 +177,33 @@ let test_overlay_layout_agreement () =
   in
   Alcotest.(check string) "identical per-process state" (dump ov_h) (dump ov_f)
 
+(* The flat store indexes an array by process id. A negative id, or one
+   past the spawn range (forged messages carry ids up to N+8), must read
+   as [None] under both layouts, while every spawned id resolves — also
+   once the flat array has grown past its initial 256 cells. *)
+let test_store_out_of_range () =
+  List.iter
+    (fun (name, layout) ->
+      let ov = O.create ~cfg:(Cfg.make ~layout ()) ~seed:7 () in
+      let rng = Sim.Rng.make 70 in
+      for _ = 1 to 260 do
+        let x0 = Sim.Rng.range rng 0.0 90.0
+        and y0 = Sim.Rng.range rng 0.0 90.0 in
+        ignore (O.join ov (R.make2 ~x0 ~y0 ~x1:(x0 +. 5.0) ~y1:(y0 +. 5.0)))
+      done;
+      let spawned = Sim.Engine.spawned_count (O.engine ov) in
+      check_int (name ^ ": spawned") 260 spawned;
+      for id = 0 to spawned - 1 do
+        if O.state ov id = None then Alcotest.failf "%s: id %d lost" name id
+      done;
+      check_bool (name ^ ": negative id") true (O.state ov (-1) = None);
+      check_bool (name ^ ": id past the spawn range") true
+        (O.state ov (spawned + 8) = None))
+    [ ("hashed", Cfg.Hashed); ("flat", Cfg.Flat) ]
+
 let () =
   Alcotest.run "state-layout"
     [
-      ( "intern",
-        [
-          QCheck_alcotest.to_alcotest intern_dense;
-          QCheck_alcotest.to_alcotest intern_churn;
-          Alcotest.test_case "invalid inputs" `Quick test_intern_negative_id;
-        ] );
       ("state", [ QCheck_alcotest.to_alcotest state_layout_equivalence ]);
       ( "differential",
         Axis_traces.test_cases "layout"
@@ -321,5 +224,7 @@ let () =
         [
           Alcotest.test_case "both layouts build identical trees" `Quick
             test_overlay_layout_agreement;
+          Alcotest.test_case "ids out of range read as None" `Quick
+            test_store_out_of_range;
         ] );
     ]

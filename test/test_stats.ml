@@ -2,7 +2,6 @@
 
 module Su = Stats.Summary
 module Rg = Stats.Regression
-module H = Stats.Histogram
 module T = Stats.Table
 
 let check_bool = Alcotest.(check bool)
@@ -65,20 +64,6 @@ let test_regression_errors () =
   Alcotest.check_raises "constant x"
     (Invalid_argument "Regression.linear: constant x values") (fun () ->
       ignore (Rg.linear [ (1.0, 1.0); (1.0, 2.0) ]))
-
-let test_histogram () =
-  let h = H.create ~lo:0.0 ~hi:10.0 ~bins:10 in
-  H.add_many h [ 0.5; 1.5; 1.7; 9.9; -5.0; 50.0 ];
-  check_int "total" 6 (H.count h);
-  check_int "bucket 0 (incl. low outlier)" 2 (H.bucket_count h 0);
-  check_int "bucket 1" 2 (H.bucket_count h 1);
-  check_int "last bucket (incl. high outlier)" 2 (H.bucket_count h 9);
-  let lo, hi = H.bucket_bounds h 3 in
-  check_float "bounds lo" 3.0 lo;
-  check_float "bounds hi" 4.0 hi;
-  Alcotest.check_raises "bad create"
-    (Invalid_argument "Histogram.create: bins <= 0") (fun () ->
-      ignore (H.create ~lo:0.0 ~hi:1.0 ~bins:0))
 
 let contains_sub s sub =
   let n = String.length s and m = String.length sub in
@@ -173,7 +158,6 @@ let () =
           Alcotest.test_case "noisy line" `Quick test_regression_noisy;
           Alcotest.test_case "errors" `Quick test_regression_errors;
         ] );
-      ("histogram", [ Alcotest.test_case "buckets" `Quick test_histogram ]);
       ( "table",
         [
           Alcotest.test_case "rendering" `Quick test_table_plain;
