@@ -40,13 +40,12 @@ let ancestors ov id =
 
 (* One instance's clauses of Definition 3.1 (self-chain, attachment,
    occupancy, children coherence, MBR exactness, cover optimality) —
-   the per-(process, height) unit the global {!check} sweeps, plus
-   the forest's shard-
-   disjointness clauses (a link may never cross trees — vacuous at one
-   shard, where [home] is constantly 0). Global facts (per-shard root
-   uniqueness, reachability) live in {!check} only. [pid] prints
-   referenced processes — shard-annotated in an actual forest, the
-   bare pre-forest id otherwise. *)
+   the per-(process, height) unit the global {!check} sweeps, plus the
+   forest's shard-disjointness clauses (a link may never cross trees —
+   vacuous at one shard, where [home] is constantly 0). Global facts
+   (per-shard root uniqueness, reachability) live in {!check} only.
+   [pid] prints referenced processes — shard-annotated in an actual
+   forest, the bare pre-forest id otherwise. *)
 let check_level ~m ~big_m ~read ~add ~pid ~home p s h =
   let top = State.top s in
   match State.level s h with

@@ -179,26 +179,38 @@ let test_overlay_layout_agreement () =
 
 (* The flat store indexes an array by process id. A negative id, or one
    past the spawn range (forged messages carry ids up to N+8), must read
-   as [None] under both layouts, while every spawned id resolves — also
-   once the flat array has grown past its initial 256 cells. *)
+   as [None] under both layouts: checked at 256 spawned processes, where
+   N+8 lies past the flat array's initial 256 cells, and again after
+   four more joins have grown it, when every spawned id must resolve. *)
 let test_store_out_of_range () =
   List.iter
     (fun (name, layout) ->
       let ov = O.create ~cfg:(Cfg.make ~layout ()) ~seed:7 () in
       let rng = Sim.Rng.make 70 in
-      for _ = 1 to 260 do
-        let x0 = Sim.Rng.range rng 0.0 90.0
-        and y0 = Sim.Rng.range rng 0.0 90.0 in
-        ignore (O.join ov (R.make2 ~x0 ~y0 ~x1:(x0 +. 5.0) ~y1:(y0 +. 5.0)))
-      done;
+      let join_n k =
+        for _ = 1 to k do
+          let x0 = Sim.Rng.range rng 0.0 90.0
+          and y0 = Sim.Rng.range rng 0.0 90.0 in
+          ignore (O.join ov (R.make2 ~x0 ~y0 ~x1:(x0 +. 5.0) ~y1:(y0 +. 5.0)))
+        done
+      in
+      let check_out_of_range () =
+        let spawned = Sim.Engine.spawned_count (O.engine ov) in
+        check_bool (name ^ ": negative id") true (O.state ov (-1) = None);
+        check_bool
+          (Printf.sprintf "%s: id %d past the spawn range" name (spawned + 8))
+          true
+          (O.state ov (spawned + 8) = None)
+      in
+      join_n 256;
+      check_out_of_range ();
+      join_n 4;
+      check_out_of_range ();
       let spawned = Sim.Engine.spawned_count (O.engine ov) in
       check_int (name ^ ": spawned") 260 spawned;
       for id = 0 to spawned - 1 do
         if O.state ov id = None then Alcotest.failf "%s: id %d lost" name id
-      done;
-      check_bool (name ^ ": negative id") true (O.state ov (-1) = None);
-      check_bool (name ^ ": id past the spawn range") true
-        (O.state ov (spawned + 8) = None))
+      done)
     [ ("hashed", Cfg.Hashed); ("flat", Cfg.Flat) ]
 
 let () =
